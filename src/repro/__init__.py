@@ -1,15 +1,16 @@
 """repro — reproduction of "Energy-Efficient ID-based Group Key Agreement
 Protocols for Wireless Networks" (Tan & Teo, IPPS 2006).
 
-The package implements, from scratch:
+The package implements:
 
 * the proposed two-round ID-based authenticated GKA protocol with batch GQ
   verification and its four dynamic protocols (Join, Leave, Merge, Partition),
 * every baseline the paper compares against (plain BD, BD + SOK / ECDSA / DSA,
   the SSN ID-based GKA, and BD re-execution for membership events),
-* the substrates those protocols need (number theory, Schnorr groups, elliptic
-  curves, a simulated pairing, AES, SHA-256, HMAC, a PKG and a CA, a simulated
-  broadcast wireless network),
+* the substrates those protocols need, from scratch (number theory, Schnorr
+  groups, elliptic curves, a simulated pairing, a T-table AES in CTR mode, a
+  PKG and a CA, a simulated broadcast wireless network), with SHA-256, HMAC
+  and HKDF on the standard library's :mod:`hashlib`/:mod:`hmac`,
 * a mobility-aware MANET layer (:mod:`repro.mobility`): 2-D mobility models,
   distance-dependent radio links, multi-hop relaying with per-hop energy
   charging, and connectivity-driven emergent partition/merge churn,

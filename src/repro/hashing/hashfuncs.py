@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from ..exceptions import ParameterError
 from ..mathutils.serialization import bytes_to_int, encode_fields, int_to_bytes
-from .sha256 import PureSHA256, sha256_digest
+from .sha256 import sha256_digest
 
 __all__ = ["HashFunction", "default_hash"]
 

@@ -1,4 +1,4 @@
-"""HMAC-SHA256, built on the library's own SHA-256.
+"""HMAC-SHA256 on the standard library's :mod:`hmac` and :mod:`hashlib`.
 
 Used by :mod:`repro.symmetric.authenc` to provide the integrity half of the
 ``E_K(m)`` encrypt-then-MAC construction that the dynamic protocols rely on:
@@ -9,39 +9,16 @@ authenticated — so the reproduction makes that authentication explicit.
 
 from __future__ import annotations
 
-from .sha256 import PureSHA256
+import hmac
 
 __all__ = ["hmac_sha256", "verify_hmac"]
-
-_BLOCK_SIZE = 64
-_IPAD = bytes([0x36]) * _BLOCK_SIZE
-_OPAD = bytes([0x5C]) * _BLOCK_SIZE
-
-
-def _prepare_key(key: bytes) -> bytes:
-    if len(key) > _BLOCK_SIZE:
-        key = PureSHA256(key).digest()
-    return key + b"\x00" * (_BLOCK_SIZE - len(key))
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Return ``HMAC-SHA256(key, message)`` (32 bytes)."""
-    padded = _prepare_key(key)
-    inner_key = bytes(a ^ b for a, b in zip(padded, _IPAD))
-    outer_key = bytes(a ^ b for a, b in zip(padded, _OPAD))
-    inner = PureSHA256(inner_key)
-    inner.update(message)
-    outer = PureSHA256(outer_key)
-    outer.update(inner.digest())
-    return outer.digest()
+    return hmac.digest(key, message, "sha256")
 
 
 def verify_hmac(key: bytes, message: bytes, tag: bytes) -> bool:
-    """Constant-time-ish comparison of an HMAC tag."""
-    expected = hmac_sha256(key, message)
-    if len(expected) != len(tag):
-        return False
-    diff = 0
-    for a, b in zip(expected, tag):
-        diff |= a ^ b
-    return diff == 0
+    """Constant-time comparison of an HMAC tag; any length mismatch is ``False``."""
+    return hmac.compare_digest(hmac_sha256(key, message), tag)

@@ -4,7 +4,8 @@ The group key ``K`` agreed by the protocols is an element of the order-``q``
 subgroup of ``Z_p^*`` (a ~1024-bit integer).  Applications need fixed-length
 symmetric keys, and the dynamic protocols need to use the *current* group key
 ``K`` as an AES key for ``E_K(...)``.  :func:`derive_key` bridges the two with
-an HKDF-like extract-and-expand construction over the library's SHA-256.
+HKDF (RFC 5869) extract-and-expand over :func:`~repro.hashing.hmac_impl.hmac_sha256`,
+i.e. over the standard library's HMAC-SHA256.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ def hkdf_expand(pseudo_random_key: bytes, info: bytes, length: int) -> bytes:
         raise ParameterError("HKDF-Expand output too long")
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
+    for counter in range(1, -(-length // 32) + 1):
         previous = hmac_sha256(pseudo_random_key, previous + info + bytes([counter]))
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

@@ -1,144 +1,19 @@
-"""A from-scratch SHA-256 implementation.
+"""One-shot SHA-256, on which the paper's hash ``H`` is built.
 
-The library's default hash ``H`` is SHA-256.  The standard-library
-:mod:`hashlib` is of course available, but the reproduction implements the
-compression function itself so that (a) the substrate is self-contained as the
-task requires, and (b) the unit tests can cross-check our implementation
-against :mod:`hashlib` on random inputs — a useful canary for byte-ordering
-bugs elsewhere in the wire format.
-
-The public API mirrors :mod:`hashlib`: ``PureSHA256(data).digest()`` /
-``.hexdigest()``, plus an incremental ``update``.
+A thin wrapper over :mod:`hashlib` that hashes the concatenation of several
+byte strings without building it.  It sits under every challenge hash and
+identity mapping, so at scenario scale it runs millions of times.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import Iterable
 
-__all__ = ["PureSHA256", "sha256_digest"]
-
-
-_K = (
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1,
-    0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174, 0xE49B69C1, 0xEFBE4786,
-    0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85, 0xA2BFE8A1, 0xA81A664B,
-    0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A,
-    0x5B9CCA4F, 0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-)
-
-_H0 = (
-    0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-    0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-)
-
-_MASK = 0xFFFFFFFF
-
-
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK
-
-
-class PureSHA256:
-    """Incremental SHA-256 (FIPS 180-4) over arbitrary byte strings."""
-
-    digest_size = 32
-    block_size = 64
-    name = "sha256"
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._h = list(_H0)
-        self._pending = b""
-        self._length = 0
-        if data:
-            self.update(data)
-
-    def copy(self) -> "PureSHA256":
-        """Return an independent copy of the running state."""
-        clone = PureSHA256()
-        clone._h = list(self._h)
-        clone._pending = self._pending
-        clone._length = self._length
-        return clone
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("PureSHA256.update expects bytes")
-        data = bytes(data)
-        self._length += len(data)
-        buffer = self._pending + data
-        offset = 0
-        while offset + 64 <= len(buffer):
-            self._compress(buffer[offset : offset + 64])
-            offset += 64
-        self._pending = buffer[offset:]
-
-    def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block)) + [0] * 48
-        for i in range(16, 64):
-            s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)
-            s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
-            w[i] = (w[i - 16] + s0 + w[i - 7] + s1) & _MASK
-        a, b, c, d, e, f, g, h = self._h
-        for i in range(64):
-            s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-            ch = (e & f) ^ (~e & g)
-            temp1 = (h + s1 + ch + _K[i] + w[i]) & _MASK
-            s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            temp2 = (s0 + maj) & _MASK
-            h, g, f, e, d, c, b, a = (
-                g,
-                f,
-                e,
-                (d + temp1) & _MASK,
-                c,
-                b,
-                a,
-                (temp1 + temp2) & _MASK,
-            )
-        self._h = [
-            (x + y) & _MASK
-            for x, y in zip(self._h, (a, b, c, d, e, f, g, h))
-        ]
-
-    def digest(self) -> bytes:
-        """Return the 32-byte digest of everything absorbed so far."""
-        # Work on a copy so the object remains updatable afterwards.
-        clone = self.copy()
-        bit_length = clone._length * 8
-        clone._pending += b"\x80"
-        while (len(clone._pending) % 64) != 56:
-            clone._pending += b"\x00"
-        clone._pending += struct.pack(">Q", bit_length)
-        buffer = clone._pending
-        for offset in range(0, len(buffer), 64):
-            clone._compress(buffer[offset : offset + 64])
-        return struct.pack(">8I", *clone._h)
-
-    def hexdigest(self) -> str:
-        """Hex form of :meth:`digest`."""
-        return self.digest().hex()
+__all__ = ["sha256_digest"]
 
 
 def sha256_digest(*parts: bytes) -> bytes:
-    """One-shot SHA-256 of the concatenation of ``parts``.
-
-    Delegates to :mod:`hashlib`'s C implementation: the output is the same
-    function bit for bit (the tests cross-check :class:`PureSHA256` against
-    :mod:`hashlib` and this helper against both), and this one-shot path sits
-    under every challenge hash and identity mapping — at scenario scale it
-    runs millions of times, where the pure-Python compression loop would
-    dominate the whole simulation.
-    """
+    """One-shot SHA-256 of the concatenation of ``parts``."""
     h = hashlib.sha256()
     for part in parts:
         h.update(part)

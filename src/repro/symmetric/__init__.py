@@ -1,16 +1,8 @@
-"""Symmetric cryptography substrate: AES, block modes, authenticated envelopes."""
+"""Symmetric cryptography substrate: AES, CTR mode, authenticated envelopes."""
 
 from .aes import AES
 from .authenc import AuthenticatedCiphertext, SymmetricEnvelope, group_key_to_bytes
-from .modes import (
-    ctr_keystream,
-    decrypt_cbc,
-    decrypt_ctr,
-    encrypt_cbc,
-    encrypt_ctr,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from .modes import ctr_keystream, decrypt_ctr, encrypt_ctr
 
 __all__ = [
     "AES",
@@ -18,10 +10,6 @@ __all__ = [
     "SymmetricEnvelope",
     "group_key_to_bytes",
     "ctr_keystream",
-    "decrypt_cbc",
     "decrypt_ctr",
-    "encrypt_cbc",
     "encrypt_ctr",
-    "pkcs7_pad",
-    "pkcs7_unpad",
 ]

@@ -1,4 +1,4 @@
-"""A from-scratch AES block cipher (AES-128/192/256).
+"""A from-scratch AES block cipher (AES-128/192/256), forward direction only.
 
 The dynamic protocols of the paper (Join / Leave / Merge / Partition) encrypt
 key-update material under the current group key using "a symmetric key
@@ -7,46 +7,48 @@ choice for 2006-era wireless devices, and Carman et al. (the paper's energy
 reference [3]) measure AES-class symmetric costs as orders of magnitude below
 modular exponentiation — which is exactly how the energy model treats them.
 
-This is a straightforward, readable table-based implementation:
+``E_K`` runs AES in CTR mode (:mod:`repro.symmetric.modes`), which needs only
+the forward cipher, so this module implements nothing else:
 
-* key expansion for 128/192/256-bit keys,
-* encryption and decryption of single 16-byte blocks,
+* key expansion for 128/192/256-bit keys, with round keys packed as 32-bit
+  column words,
+* encryption of single 16-byte blocks through four 256-entry T-tables
+  (SubBytes, ShiftRows and MixColumns folded into four lookups per column),
+  built at import from an S-box derived from first principles,
 * no side-channel hardening (this is a research simulator, not a production
-  cipher) — the docstring says so explicitly.
-
-Block modes (CTR, CBC) and padding live in :mod:`repro.symmetric.modes`.
+  cipher) — table lookups leak through the cache.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import struct
 
 from ..exceptions import ParameterError
 
 __all__ = ["AES"]
 
+_MASK = 0xFFFFFFFF
+_BLOCK = struct.Struct(">4I")
+
+
+def _xtime(a: int) -> int:
+    """Multiply by ``x`` in GF(2^8) modulo the AES polynomial 0x11B."""
+    a <<= 1
+    return (a ^ 0x11B) if a & 0x100 else a
+
 
 def _build_sbox() -> tuple:
     """Construct the AES S-box from first principles (GF(2^8) inversion + affine map)."""
-    # Multiplicative inverse table in GF(2^8) with the AES polynomial 0x11B.
-    def gf_mul(a: int, b: int) -> int:
-        result = 0
-        for _ in range(8):
-            if b & 1:
-                result ^= a
-            high = a & 0x80
-            a = (a << 1) & 0xFF
-            if high:
-                a ^= 0x1B
-            b >>= 1
-        return result
-
+    # The powers 3^i (i < 255) run through every non-zero element of GF(2^8),
+    # and the inverse of 3^i is 3^(255 - i).
+    powers = []
+    x = 1
+    for _ in range(255):
+        powers.append(x)
+        x ^= _xtime(x)
     inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    for i, x in enumerate(powers):
+        inverse[x] = powers[-i]
     sbox = [0] * 256
     for x in range(256):
         b = inverse[x]
@@ -65,31 +67,38 @@ def _build_sbox() -> tuple:
     return tuple(sbox)
 
 
+def _rotr8(word: int) -> int:
+    return ((word >> 8) | (word << 24)) & _MASK
+
+
+def _build_t_tables() -> tuple:
+    """``T0[x]`` is the MixColumns column ``(2s, s, s, 3s)`` of ``s = S[x]``;
+    ``T1``-``T3`` are its byte rotations, one per row of ShiftRows."""
+    t0 = tuple(
+        (_xtime(s) << 24) | (s << 16) | (s << 8) | (_xtime(s) ^ s) for s in _SBOX
+    )
+    t1 = tuple(_rotr8(w) for w in t0)
+    t2 = tuple(_rotr8(w) for w in t1)
+    t3 = tuple(_rotr8(w) for w in t2)
+    return t0, t1, t2, t3
+
+
 _SBOX = _build_sbox()
-_INV_SBOX = tuple(_SBOX.index(i) for i in range(256))
-_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D)
+_T0, _T1, _T2, _T3 = _build_t_tables()
+_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a = (a ^ 0x1B) & 0xFF
-    return a
-
-
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication used by (Inv)MixColumns."""
-    result = 0
-    for _ in range(8):
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _sub_word(word: int) -> int:
+    return (
+        (_SBOX[word >> 24] << 24)
+        | (_SBOX[(word >> 16) & 0xFF] << 16)
+        | (_SBOX[(word >> 8) & 0xFF] << 8)
+        | _SBOX[word & 0xFF]
+    )
 
 
 class AES:
-    """AES block cipher with a 128-, 192- or 256-bit key.
+    """AES block cipher (encryption only) with a 128-, 192- or 256-bit key.
 
     >>> cipher = AES(bytes(16))
     >>> cipher.encrypt_block(bytes(16)).hex()
@@ -102,103 +111,51 @@ class AES:
         if len(key) not in (16, 24, 32):
             raise ParameterError("AES key must be 16, 24 or 32 bytes")
         self.key = bytes(key)
-        self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(self.key)
+        words = self._expand_key(self.key)
+        rounds = [tuple(words[i : i + 4]) for i in range(0, len(words), 4)]
+        self._first_key = rounds[0]
+        self._inner_keys = rounds[1:-1]
+        self._last_key = rounds[-1]
 
-    # ---------------------------------------------------------- key schedule
-    def _expand_key(self, key: bytes) -> List[List[int]]:
+    @staticmethod
+    def _expand_key(key: bytes) -> list:
+        """FIPS-197 key expansion into ``4 * (rounds + 1)`` column words."""
         nk = len(key) // 4
-        nr = self._rounds
-        words: List[List[int]] = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-        for i in range(nk, 4 * (nr + 1)):
-            temp = list(words[i - 1])
+        total = 4 * (nk + 7)
+        words = list(struct.unpack(f">{nk}I", key))
+        for i in range(nk, total):
+            temp = words[i - 1]
             if i % nk == 0:
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // nk - 1]
+                temp = _sub_word(((temp << 8) | (temp >> 24)) & _MASK) ^ (_RCON[i // nk - 1] << 24)
             elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([a ^ b for a, b in zip(words[i - nk], temp)])
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
         return words
-
-    def _round_key(self, round_index: int) -> List[int]:
-        words = self._round_keys[4 * round_index : 4 * round_index + 4]
-        return [b for word in words for b in word]
-
-    # ---------------------------------------------------------- block cipher
-    @staticmethod
-    def _add_round_key(state: List[int], round_key: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int], box: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> None:
-        # state is column-major: state[r + 4c]
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-            state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-            state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-            state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 14) ^ _gmul(col[1], 11) ^ _gmul(col[2], 13) ^ _gmul(col[3], 9)
-            state[4 * c + 1] = _gmul(col[0], 9) ^ _gmul(col[1], 14) ^ _gmul(col[2], 11) ^ _gmul(col[3], 13)
-            state[4 * c + 2] = _gmul(col[0], 13) ^ _gmul(col[1], 9) ^ _gmul(col[2], 14) ^ _gmul(col[3], 11)
-            state[4 * c + 3] = _gmul(col[0], 11) ^ _gmul(col[1], 13) ^ _gmul(col[2], 9) ^ _gmul(col[3], 14)
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(plaintext) != 16:
             raise ParameterError("AES block must be exactly 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_key(0))
-        for round_index in range(1, self._rounds):
-            self._sub_bytes(state, _SBOX)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_key(round_index))
-        self._sub_bytes(state, _SBOX)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_key(self._rounds))
-        return bytes(state)
-
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block."""
-        if len(ciphertext) != 16:
-            raise ParameterError("AES block must be exactly 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_key(self._rounds))
-        for round_index in range(self._rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_key(round_index))
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_key(0))
-        return bytes(state)
+        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+        k0, k1, k2, k3 = self._first_key
+        s0, s1, s2, s3 = _BLOCK.unpack(plaintext)
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        for k0, k1, k2, k3 in self._inner_keys:
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ k0,
+                t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ k1,
+                t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ k2,
+                t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ k3,
+            )
+        # Final round: SubBytes + ShiftRows, no MixColumns.
+        sb = _SBOX
+        k0, k1, k2, k3 = self._last_key
+        return _BLOCK.pack(
+            ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 0xFF] << 16) | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ k0,
+            ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 0xFF] << 16) | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ k1,
+            ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 0xFF] << 16) | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ k2,
+            ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 0xFF] << 16) | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ k3,
+        )

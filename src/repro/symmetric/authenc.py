@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import DecryptionError, ParameterError
+from ..exceptions import DecryptionError, ParameterError, SerializationError
 from ..hashing.hmac_impl import hmac_sha256, verify_hmac
 from ..hashing.kdf import derive_key, derive_key_from_group_element
 from ..mathutils.rand import DeterministicRNG
@@ -52,8 +52,20 @@ class AuthenticatedCiphertext:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AuthenticatedCiphertext":
-        """Parse the output of :meth:`to_bytes`."""
-        nonce, ciphertext, tag = decode_fields(blob)
+        """Parse the output of :meth:`to_bytes`.
+
+        Raises
+        ------
+        DecryptionError
+            If ``blob`` is not a well-formed three-field record.
+        """
+        try:
+            fields = decode_fields(blob)
+        except SerializationError as exc:
+            raise DecryptionError(f"malformed envelope: {exc}") from exc
+        if len(fields) != 3:
+            raise DecryptionError(f"malformed envelope: expected 3 fields, got {len(fields)}")
+        nonce, ciphertext, tag = fields
         return cls(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
     @property

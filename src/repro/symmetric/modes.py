@@ -1,64 +1,15 @@
-"""Block-cipher modes of operation and padding for the AES substrate."""
+"""AES-CTR, the block-cipher mode behind ``E_K``.
+
+CTR turns the forward cipher into a stream cipher, so it needs neither
+padding nor the inverse cipher.
+"""
 
 from __future__ import annotations
 
-from ..exceptions import DecryptionError, ParameterError
+from ..exceptions import ParameterError
 from .aes import AES
 
-__all__ = ["pkcs7_pad", "pkcs7_unpad", "encrypt_cbc", "decrypt_cbc", "ctr_keystream", "encrypt_ctr", "decrypt_ctr"]
-
-
-def pkcs7_pad(data: bytes, block_size: int = 16) -> bytes:
-    """Apply PKCS#7 padding up to ``block_size``."""
-    if not 1 <= block_size <= 255:
-        raise ParameterError("block_size must be in [1, 255]")
-    pad_len = block_size - (len(data) % block_size)
-    return data + bytes([pad_len]) * pad_len
-
-
-def pkcs7_unpad(data: bytes, block_size: int = 16) -> bytes:
-    """Remove PKCS#7 padding, raising :class:`DecryptionError` on malformed input."""
-    if not data or len(data) % block_size != 0:
-        raise DecryptionError("ciphertext length is not a multiple of the block size")
-    pad_len = data[-1]
-    if pad_len < 1 or pad_len > block_size:
-        raise DecryptionError("invalid padding length")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise DecryptionError("invalid padding bytes")
-    return data[:-pad_len]
-
-
-def encrypt_cbc(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    """AES-CBC encryption with PKCS#7 padding."""
-    if len(iv) != 16:
-        raise ParameterError("CBC IV must be 16 bytes")
-    cipher = AES(key)
-    padded = pkcs7_pad(plaintext)
-    out = bytearray()
-    previous = iv
-    for offset in range(0, len(padded), 16):
-        block = bytes(a ^ b for a, b in zip(padded[offset : offset + 16], previous))
-        encrypted = cipher.encrypt_block(block)
-        out += encrypted
-        previous = encrypted
-    return bytes(out)
-
-
-def decrypt_cbc(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """AES-CBC decryption with PKCS#7 unpadding."""
-    if len(iv) != 16:
-        raise ParameterError("CBC IV must be 16 bytes")
-    if len(ciphertext) % 16 != 0:
-        raise DecryptionError("CBC ciphertext must be a multiple of 16 bytes")
-    cipher = AES(key)
-    out = bytearray()
-    previous = iv
-    for offset in range(0, len(ciphertext), 16):
-        block = ciphertext[offset : offset + 16]
-        decrypted = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(decrypted, previous))
-        previous = block
-    return pkcs7_unpad(bytes(out))
+__all__ = ["ctr_keystream", "encrypt_ctr", "decrypt_ctr"]
 
 
 def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
@@ -66,19 +17,18 @@ def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     if len(nonce) != 12:
         raise ParameterError("CTR nonce must be 12 bytes")
     cipher = AES(key)
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = nonce + counter.to_bytes(4, "big")
-        out += cipher.encrypt_block(block)
-        counter += 1
-    return bytes(out[:length])
+    blocks = -(-length // 16)
+    keystream = b"".join(
+        cipher.encrypt_block(nonce + counter.to_bytes(4, "big")) for counter in range(blocks)
+    )
+    return keystream[:length]
 
 
 def encrypt_ctr(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """AES-CTR encryption (no padding required)."""
     keystream = ctr_keystream(key, nonce, len(plaintext))
-    return bytes(a ^ b for a, b in zip(plaintext, keystream))
+    mixed = int.from_bytes(plaintext, "big") ^ int.from_bytes(keystream, "big")
+    return mixed.to_bytes(len(plaintext), "big")
 
 
 def decrypt_ctr(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:

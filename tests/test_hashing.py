@@ -1,10 +1,16 @@
-"""Tests for the hashing substrate: SHA-256, H, HMAC and the KDF."""
+"""Tests for the hashing substrate: SHA-256, H, HMAC and the KDF.
+
+The library's SHA-256 and HMAC come from the standard library; they are
+cross-checked against the textbook references in ``crypto_reference.py``,
+whose own correctness is pinned by the FIPS 180-4 vectors below.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import hmac as std_hmac
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +20,9 @@ from repro.exceptions import ParameterError
 from repro.hashing.hashfuncs import HashFunction, default_hash
 from repro.hashing.hmac_impl import hmac_sha256, verify_hmac
 from repro.hashing.kdf import derive_key, derive_key_from_group_element, hkdf_expand, hkdf_extract
-from repro.hashing.sha256 import PureSHA256, sha256_digest
+from repro.hashing.sha256 import sha256_digest
+
+from crypto_reference import PureSHA256, reference_hmac_sha256
 
 
 class TestPureSHA256:
@@ -67,6 +75,12 @@ class TestPureSHA256:
     def test_matches_hashlib(self, data):
         assert sha256_digest(data) == hashlib.sha256(data).digest()
 
+    def test_sha256_digest_matches_reference(self):
+        rand = random.Random(20060425)
+        for _ in range(200):
+            parts = [rand.randbytes(rand.randrange(0, 150)) for _ in range(rand.randrange(0, 4))]
+            assert sha256_digest(*parts) == PureSHA256(b"".join(parts)).digest()
+
 
 class TestHMAC:
     def test_rfc4231_case_1(self):
@@ -74,12 +88,14 @@ class TestHMAC:
         data = b"Hi There"
         expected = "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         assert hmac_sha256(key, data).hex() == expected
+        assert reference_hmac_sha256(key, data).hex() == expected
 
     def test_rfc4231_long_key(self):
         key = b"\xaa" * 131
         data = b"Test Using Larger Than Block-Size Key - Hash Key First"
         expected = "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         assert hmac_sha256(key, data).hex() == expected
+        assert reference_hmac_sha256(key, data).hex() == expected
 
     def test_verify_helpers(self):
         tag = hmac_sha256(b"k", b"m")
@@ -87,6 +103,21 @@ class TestHMAC:
         assert not verify_hmac(b"k", b"m2", tag)
         assert not verify_hmac(b"k2", b"m", tag)
         assert not verify_hmac(b"k", b"m", tag[:-1])
+
+    def test_verify_rejects_malformed_tags(self):
+        tag = hmac_sha256(b"key", b"message")
+        flipped = bytes([tag[0] ^ 0x01]) + tag[1:]
+        for bad in (tag[:16], tag + b"\x00", b"", flipped):
+            assert verify_hmac(b"key", b"message", bad) is False
+
+    def test_matches_reference(self):
+        rand = random.Random(4231)
+        # Key lengths straddle the 64-byte block, where long keys are hashed first.
+        for key_len in (0, 1, 20, 32, 63, 64, 65, 131):
+            for _ in range(8):
+                key = rand.randbytes(key_len)
+                message = rand.randbytes(rand.randrange(0, 200))
+                assert hmac_sha256(key, message) == reference_hmac_sha256(key, message)
 
     @given(st.binary(max_size=100), st.binary(max_size=300))
     @settings(max_examples=50)
@@ -150,6 +181,14 @@ class TestHashFunction:
 
 
 class TestKDF:
+    def test_rfc5869_case_1(self):
+        prk = hkdf_extract(bytes(range(13)), b"\x0b" * 22)
+        assert prk.hex() == "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
+        okm = hkdf_expand(prk, bytes(range(0xF0, 0xFA)), 42)
+        assert okm.hex() == (
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+        )
+
     def test_hkdf_deterministic_and_length(self):
         prk = hkdf_extract(b"salt", b"ikm")
         out = hkdf_expand(prk, b"info", 42)

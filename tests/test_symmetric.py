@@ -1,6 +1,13 @@
-"""Tests for the AES substrate, block modes and the authenticated envelope."""
+"""Tests for the AES substrate, CTR mode and the authenticated envelope.
+
+The library's AES is an encrypt-only T-table cipher; it is cross-checked
+against the byte-oriented reference in ``crypto_reference.py``, whose own
+correctness is pinned by the FIPS-197 vectors below.
+"""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,40 +15,36 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DecryptionError, ParameterError
 from repro.mathutils.rand import DeterministicRNG
+from repro.mathutils.serialization import encode_fields
 from repro.symmetric.aes import AES
 from repro.symmetric.authenc import AuthenticatedCiphertext, SymmetricEnvelope, group_key_to_bytes
-from repro.symmetric.modes import (
-    decrypt_cbc,
-    decrypt_ctr,
-    encrypt_cbc,
-    encrypt_ctr,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.symmetric.modes import ctr_keystream, decrypt_ctr, encrypt_ctr
+
+from crypto_reference import ReferenceAES
+
+_FIPS197_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
 class TestAESBlocks:
     def test_fips197_aes128(self):
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        assert AES(key).encrypt_block(plaintext) == expected
-        assert AES(key).decrypt_block(expected) == plaintext
+        assert AES(key).encrypt_block(_FIPS197_PLAINTEXT) == expected
+        assert ReferenceAES(key).encrypt_block(_FIPS197_PLAINTEXT) == expected
 
     def test_fips197_aes192(self):
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f1011121314151617")
-        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("dda97ca4864cdfe06eaf70a0ec0d7191")
-        assert AES(key).encrypt_block(plaintext) == expected
+        assert AES(key).encrypt_block(_FIPS197_PLAINTEXT) == expected
+        assert ReferenceAES(key).encrypt_block(_FIPS197_PLAINTEXT) == expected
 
     def test_fips197_aes256(self):
         key = bytes.fromhex(
             "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
         )
-        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
-        assert AES(key).encrypt_block(plaintext) == expected
-        assert AES(key).decrypt_block(expected) == plaintext
+        assert AES(key).encrypt_block(_FIPS197_PLAINTEXT) == expected
+        assert ReferenceAES(key).encrypt_block(_FIPS197_PLAINTEXT) == expected
 
     def test_zero_key_zero_block(self):
         assert AES(bytes(16)).encrypt_block(bytes(16)).hex() == "66e94bd4ef8a2c3b884cfa59ca342b2e"
@@ -53,60 +56,17 @@ class TestAESBlocks:
         with pytest.raises(ParameterError):
             cipher.encrypt_block(b"too short")
         with pytest.raises(ParameterError):
-            cipher.decrypt_block(bytes(17))
+            cipher.encrypt_block(bytes(17))
 
-    @given(st.binary(min_size=16, max_size=16), st.sampled_from([16, 24, 32]))
-    @settings(max_examples=25)
-    def test_encrypt_decrypt_roundtrip(self, block, key_len):
-        key = bytes(range(key_len))
-        cipher = AES(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-
-class TestPadding:
-    def test_pad_lengths(self):
-        assert pkcs7_pad(b"") == bytes([16]) * 16
-        assert pkcs7_pad(b"a" * 16)[-1] == 16
-        assert len(pkcs7_pad(b"abc")) == 16
-
-    def test_unpad_roundtrip(self):
-        for length in range(0, 40):
-            data = bytes(range(length % 256))[:length]
-            assert pkcs7_unpad(pkcs7_pad(data)) == data
-
-    def test_unpad_rejects_garbage(self):
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"")
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"a" * 15 + b"\x00")
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"a" * 14 + b"\x02\x03")
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"a" * 17)
-
-    def test_pad_invalid_block_size(self):
-        with pytest.raises(ParameterError):
-            pkcs7_pad(b"x", 0)
+    def test_matches_reference(self):
+        rand = random.Random(197)
+        for key_len in (16, 24, 32):
+            for _ in range(200):
+                key, block = rand.randbytes(key_len), rand.randbytes(16)
+                assert AES(key).encrypt_block(block) == ReferenceAES(key).encrypt_block(block)
 
 
 class TestModes:
-    def test_cbc_roundtrip(self):
-        key, iv = bytes(16), bytes(range(16))
-        for message in (b"", b"short", b"x" * 64, bytes(range(200))):
-            assert decrypt_cbc(key, iv, encrypt_cbc(key, iv, message)) == message
-
-    def test_cbc_iv_matters(self):
-        key = bytes(16)
-        ct1 = encrypt_cbc(key, bytes(16), b"message")
-        ct2 = encrypt_cbc(key, bytes([1] * 16), b"message")
-        assert ct1 != ct2
-
-    def test_cbc_invalid_inputs(self):
-        with pytest.raises(ParameterError):
-            encrypt_cbc(bytes(16), b"shortiv", b"m")
-        with pytest.raises(DecryptionError):
-            decrypt_cbc(bytes(16), bytes(16), b"not a multiple of 16")
-
     def test_ctr_roundtrip_and_symmetry(self):
         key, nonce = bytes(16), bytes(12)
         message = b"counter mode needs no padding"
@@ -117,6 +77,24 @@ class TestModes:
     def test_ctr_nonce_size(self):
         with pytest.raises(ParameterError):
             encrypt_ctr(bytes(16), bytes(11), b"m")
+
+    def test_ctr_keystream_is_counter_blocks(self, monkeypatch):
+        key, nonce = bytes(range(16)), bytes(range(12))
+        reference = ReferenceAES(key)
+        expected = b"".join(reference.encrypt_block(nonce + i.to_bytes(4, "big")) for i in range(3))
+        calls = []
+        original = AES.encrypt_block
+
+        def counting(self, block):
+            calls.append(block)
+            return original(self, block)
+
+        monkeypatch.setattr(AES, "encrypt_block", counting)
+        for length in (0, 1, 16, 17, 40, 48):
+            calls.clear()
+            assert ctr_keystream(key, nonce, length) == expected[:length]
+            # One forward-cipher call per (partial) 16-byte block.
+            assert len(calls) == -(-length // 16)
 
     @given(st.binary(max_size=300))
     @settings(max_examples=25)
@@ -167,6 +145,15 @@ class TestSymmetricEnvelope:
         with pytest.raises(DecryptionError):
             env.open(tampered, b"U1")
 
+    def test_truncated_tag_rejected(self, rng):
+        env = SymmetricEnvelope(42)
+        sealed = env.seal(b"data", b"U1", rng)
+        tampered = AuthenticatedCiphertext(
+            nonce=sealed.nonce, ciphertext=sealed.ciphertext, tag=sealed.tag[:-1]
+        )
+        with pytest.raises(DecryptionError):
+            env.open(tampered, b"U1")
+
     def test_wire_roundtrip_and_size(self, rng):
         env = SymmetricEnvelope(42)
         sealed = env.seal(b"data", b"U1", rng)
@@ -174,6 +161,18 @@ class TestSymmetricEnvelope:
         parsed = AuthenticatedCiphertext.from_bytes(blob)
         assert parsed == sealed
         assert sealed.wire_bits == 8 * len(blob)
+
+    @pytest.mark.parametrize("fields", [2, 4])
+    def test_from_bytes_rejects_wrong_field_count(self, rng, fields):
+        sealed = SymmetricEnvelope(42).seal(b"data", b"U1", rng)
+        parts = [sealed.nonce, sealed.ciphertext, sealed.tag, b"extra"][:fields]
+        with pytest.raises(DecryptionError):
+            AuthenticatedCiphertext.from_bytes(encode_fields(parts))
+
+    def test_from_bytes_rejects_truncated_record(self, rng):
+        blob = SymmetricEnvelope(42).seal(b"data", b"U1", rng).to_bytes()
+        with pytest.raises(DecryptionError):
+            AuthenticatedCiphertext.from_bytes(blob[:-1])
 
     def test_invalid_key_material(self):
         with pytest.raises(ParameterError):
