@@ -1,10 +1,9 @@
 """Machine-readable benchmark artifacts: ``BENCH_<module>.json``.
 
 Every benchmark module emits one artifact on teardown (see the autouse timer
-fixture in ``conftest.py``): per-test wall times, the active crypto backend,
-interpreter/platform identification and whatever domain metrics the module
-records explicitly (energy totals, sim-latency percentiles, cache hit rates,
-speedups).  Fresh artifacts land in ``benchmarks/artifacts/`` (override with
+fixture in ``conftest.py``): per-test wall times, interpreter/platform
+identification and whatever domain metrics the module records explicitly
+(energy totals, sim-latency percentiles, cache hit rates, speedups).  Fresh artifacts land in ``benchmarks/artifacts/`` (override with
 ``$REPRO_BENCH_DIR``); the committed reference points live in
 ``benchmarks/trajectory/`` and ``check_regression.py`` compares the two.
 
@@ -13,7 +12,6 @@ Schema (version 1)::
     {
       "schema": 1,
       "name": "<module name without the test_ prefix>",
-      "backend": "pure" | "native",
       "python": "3.x.y",
       "platform": "...",
       "wall_seconds": {"<test name>": <float>, ...},
@@ -64,12 +62,9 @@ class BenchArtifact:
         self.wall_seconds[test_name] = round(wall_s, 6)
 
     def as_dict(self) -> Dict[str, object]:
-        from repro.backends import active_backend
-
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
-            "backend": active_backend().name,
             "python": platform.python_version(),
             "platform": platform.platform(),
             "wall_seconds": dict(sorted(self.wall_seconds.items())),

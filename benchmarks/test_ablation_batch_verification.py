@@ -24,7 +24,6 @@ import time
 import pytest
 
 from repro.analysis import MESSAGE_SIZES_BITS, format_table, initial_gka_energy_j
-from repro.backends import active_backend
 from repro.energy import OperationCostTable, RADIO_100KBPS, WLAN_SPECTRUM24
 from repro.mathutils.rand import DeterministicRNG
 from repro.signatures.ecdsa import ECDSASignatureScheme
@@ -105,9 +104,8 @@ def test_measured_batch_verification_speedup(bench_artifact):
     checking k fresh signatures from distinct signers — with the
     verification memo cleared before every timed pass, so both sides do real
     arithmetic.  The batch side folds everything into a single interleaved
-    multi-scalar multiplication; on the pure backend that amortises the
-    field inversion every point operation pays, and with gmpy2 the combined
-    chain wins by an even wider margin.
+    multi-scalar multiplication, which amortises the field inversion every
+    point operation pays.
     """
     k = 48
     rng = DeterministicRNG("batch-verify-bench")
@@ -133,7 +131,7 @@ def test_measured_batch_verification_speedup(bench_artifact):
     speedup = best_loop / best_batch
     print(
         f"\nECDSA k={k}: loop {best_loop:.4f}s  batch {best_batch:.4f}s  "
-        f"speedup {speedup:.2f}x  (backend: {active_backend().name})"
+        f"speedup {speedup:.2f}x"
     )
     bench_artifact.record("ecdsa_batch_k", k)
     bench_artifact.record("ecdsa_loop_seconds", round(best_loop, 6))

@@ -1,10 +1,8 @@
 """Setuptools shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists so
-that ``pip install -e .`` also works in fully offline environments where the
-``wheel`` package (needed by PEP 660 editable installs) is unavailable — pip
-can then fall back to the legacy ``setup.py develop`` code path via
-``pip install -e . --no-use-pep517 --no-build-isolation``.
+The project metadata lives in ``pyproject.toml``.  This file lets
+``python setup.py develop`` install the package in editable mode offline,
+where ``pip install -e .`` cannot fetch the ``wheel`` package it needs.
 """
 
 from setuptools import setup

@@ -1,37 +1,9 @@
-"""Pluggable crypto backends for the big-int hot paths.
+"""Empty placeholder for the removed crypto-backend layer.
 
-See :mod:`repro.backends.base` for the primitive contract and
-:mod:`repro.backends.registry` for registration and per-run selection.
+The big-integer primitives live in :mod:`repro.mathutils.modular` and every
+caller uses them directly.  ``perfbench/layertrace.py`` imports each package
+in its ``LAYERS`` tuple, ``backends`` among them, so this package stays,
+empty, until that tuple drops it.
 """
 
-from .base import CryptoBackend, FixedBaseTable
-from .native import HAVE_GMPY2, NativeBackend
-from .pure import PureBackend
-from .registry import (
-    BACKEND_ENV_VAR,
-    active_backend,
-    available_backends,
-    create_backend,
-    native_available,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-
-__all__ = [
-    "CryptoBackend",
-    "FixedBaseTable",
-    "PureBackend",
-    "NativeBackend",
-    "HAVE_GMPY2",
-    "BACKEND_ENV_VAR",
-    "active_backend",
-    "available_backends",
-    "create_backend",
-    "native_available",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
-]
+__all__ = []

@@ -31,7 +31,7 @@ from ..exceptions import KeyConfirmationError, ParameterError, ProtocolError
 from ..groups.params import PAPER_GQ_SET, PAPER_SCHNORR_SET, get_gq_modulus, get_schnorr_group
 from ..groups.schnorr import SchnorrGroup
 from ..hashing.hashfuncs import HashFunction
-from ..backends.registry import active_backend
+from ..mathutils.modular import multi_exp
 from ..mathutils.primes import RSAModulus, generate_rsa_modulus, generate_schnorr_parameters
 from ..mathutils.rand import DeterministicRNG
 from ..network.events import MembershipEvent, membership_after
@@ -476,7 +476,7 @@ def compute_bd_key(
         name = ring_names[(position + offset) % n]
         bases.append(x_table[name])
         exponents.append(n - 1 - offset)
-    return active_backend().multi_exp(bases, exponents, group.p)
+    return multi_exp(bases, exponents, group.p)
 
 
 def verify_x_product(group: SchnorrGroup, x_values: Sequence[int]) -> bool:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..backends.registry import active_backend
 from ..exceptions import ParameterError
+from ..mathutils.modular import modinv
 from ..mathutils.rand import DeterministicRNG
 
 __all__ = ["EllipticCurve", "ECPoint", "ec_multi_scalar"]
@@ -148,7 +148,7 @@ class ECPoint:
             if (self.y + other.y) % p == 0:
                 return self.curve.infinity
             return self.double()
-        slope = ((other.y - self.y) * active_backend().modinv(other.x - self.x, p)) % p  # type: ignore[operator]
+        slope = ((other.y - self.y) * modinv(other.x - self.x, p)) % p  # type: ignore[operator]
         x3 = (slope * slope - self.x - other.x) % p
         y3 = (slope * (self.x - x3) - self.y) % p  # type: ignore[operator]
         return ECPoint(self.curve, x3, y3)
@@ -160,14 +160,24 @@ class ECPoint:
         p = self.curve.p
         if self.y == 0:
             return self.curve.infinity
-        slope = ((3 * self.x * self.x + self.curve.a) * active_backend().modinv(2 * self.y, p)) % p  # type: ignore[operator]
+        slope = ((3 * self.x * self.x + self.curve.a) * modinv(2 * self.y, p)) % p  # type: ignore[operator]
         x3 = (slope * slope - 2 * self.x) % p
         y3 = (slope * (self.x - x3) - self.y) % p  # type: ignore[operator]
         return ECPoint(self.curve, x3, y3)
 
     def multiply(self, scalar: int) -> "ECPoint":
-        """Scalar multiplication ``scalar * P`` (routes through the backend)."""
-        return active_backend().ec_scalar_mul(self, scalar)
+        """Scalar multiplication ``scalar * P`` (MSB-first double-and-add)."""
+        if scalar == 0 or self.is_infinity:
+            return self.curve.infinity
+        point = self
+        if scalar < 0:
+            point, scalar = self.negate(), -scalar
+        result = self.curve.infinity
+        for bit in bin(scalar)[2:]:
+            result = result.double()
+            if bit == "1":
+                result = result.add(point)
+        return result
 
     __add__ = add
 
@@ -190,7 +200,7 @@ def ec_multi_scalar(points: "list[ECPoint]", scalars: "list[int]") -> ECPoint:
     order-sized scalars plus many 64-bit random coefficients — this replaces
     ``len(points)`` independent double-and-add ladders (each paying a full
     run of field inversions) with a single shared chain, which is where the
-    batch-verification speedup on the pure backend comes from.
+    batch-verification speedup comes from.
 
     Negative scalars negate the point first (point negation is one field
     negation, unlike the modular case where a full inverse is needed).

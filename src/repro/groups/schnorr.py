@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..backends.registry import active_backend
 from ..exceptions import ParameterError
-from ..mathutils.modular import product_mod
+from ..mathutils.modular import FixedBaseExp, modexp, modinv, product_mod
 from ..mathutils.primes import generate_schnorr_parameters, is_probable_prime
 from ..mathutils.rand import DeterministicRNG
 
@@ -97,41 +96,29 @@ class SchnorrGroup:
 
     def power(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` with support for negative exponents."""
-        return active_backend().modexp(base % self.p, exponent, self.p)
+        return modexp(base % self.p, exponent, self.p)
 
     def exp_g(self, exponent: int) -> int:
         """``g ** exponent mod p`` — the ``z_i = g^{r_i}`` operation.
 
         Every protocol's Round 1 exponentiates the *same* base ``g``, so this
         routes through a per-group fixed-base precomputation object (built
-        lazily on first use, cached per crypto backend for the group's
-        lifetime).  Because ``g`` has order ``q``, the exponent is first
-        reduced modulo ``q`` — which also canonicalises negative exponents —
-        and the result is bit-identical to ``pow(g, exponent, p)``.
+        lazily on first use, cached for the group's lifetime).  Because ``g``
+        has order ``q``, the exponent is first reduced modulo ``q`` — which
+        also canonicalises negative exponents — and the result is
+        bit-identical to ``pow(g, exponent, p)``.
         """
         return self.fixed_base_g.pow(exponent % self.q)
 
     @property
-    def fixed_base_g(self):
-        """The cached fixed-base exponentiation object for ``g`` (lazy).
-
-        Keyed by the active backend's name: a run that switches backends
-        mid-process (campaign cells, ``use_backend`` blocks) must not reuse
-        another backend's table, or the selection would silently not apply
-        to the hottest operation in the library.
-        """
-        backend = active_backend()
-        tables = self.__dict__.get("_fixed_base_tables")
-        if tables is None:
-            tables = {}
+    def fixed_base_g(self) -> FixedBaseExp:
+        """The cached fixed-base exponentiation object for ``g`` (lazy)."""
+        table = self.__dict__.get("_fixed_base")
+        if table is None:
+            table = FixedBaseExp(self.g, self.p, self.q.bit_length())
             # The dataclass is frozen; the cache is not a field, so set it
             # through object.__setattr__.
-            object.__setattr__(self, "_fixed_base_tables", tables)
-        table = tables.get(backend.name)
-        if table is None:
-            table = tables[backend.name] = backend.fixed_base(
-                self.g, self.p, self.q.bit_length()
-            )
+            object.__setattr__(self, "_fixed_base", table)
         return table
 
     def mul(self, *elements: int) -> int:
@@ -140,7 +127,7 @@ class SchnorrGroup:
 
     def inv(self, element: int) -> int:
         """Multiplicative inverse modulo ``p``."""
-        return active_backend().modinv(element, self.p)
+        return modinv(element, self.p)
 
     def div(self, numerator: int, denominator: int) -> int:
         """``numerator / denominator mod p`` — the ``z_{i+1} / z_{i-1}`` terms."""

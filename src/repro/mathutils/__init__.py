@@ -1,7 +1,8 @@
 """Number-theoretic substrate: modular arithmetic, primes, RNG, serialization.
 
-This subpackage has no dependency on the rest of the library; everything else
-(groups, signatures, protocols) is built on top of it.
+This subpackage depends on nothing else in the library but the telemetry
+counters; everything else (groups, signatures, protocols) is built on top of
+it.
 """
 
 from .modular import (

@@ -11,6 +11,10 @@ Design notes (per the hpc-parallel guides): keep the functions simple and
 testable first; the only "optimization" applied is using builtin ``pow`` /
 ``math.gcd`` which are already C-level, and an iterative extended gcd to avoid
 recursion limits on large inputs.
+
+:func:`modexp` and :func:`multi_exp` are the library's only big-integer
+exponentiation paths; each call counts once under the ``crypto.modexp`` /
+``crypto.multi_exp`` telemetry counters (a no-op while telemetry is off).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence, Tuple
 
+from .. import telemetry
 from ..exceptions import ParameterError
 
 __all__ = [
@@ -96,6 +101,7 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
     inverting the base first, which the protocols need for terms such as
     ``(z_{i-1})^{-r_i}`` and ``H(ID)^{-c}``.
     """
+    telemetry.count("crypto.modexp")
     if modulus <= 0:
         raise ParameterError(f"modulus must be positive, got {modulus}")
     if exponent < 0:
@@ -270,6 +276,7 @@ def multi_exp(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> i
     Negative exponents are supported by inverting the base first (the
     protocols need this for ``(z_{i-1})^{-r_i}``-style terms).
     """
+    telemetry.count("crypto.multi_exp")
     if modulus <= 0:
         raise ParameterError(f"modulus must be positive, got {modulus}")
     if len(bases) != len(exponents):

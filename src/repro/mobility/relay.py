@@ -169,8 +169,6 @@ class MultiHopMedium(BroadcastMedium):
                             continue
                         covered.add(rx_name)
                         next_frontier.append(rx_name)
-                        if rx_name in addressed:
-                            rx_node.deliver(message)
                 deepest_hop = max(deepest_hop, hop)
                 frontier = next_frontier
             if addressed <= covered:
@@ -243,8 +241,6 @@ class MultiHopMedium(BroadcastMedium):
                     covered.add(rx_name)
                     hop_of[rx_name] = hop
                     next_frontier.append(rx_name)
-                    if rx_name in addressed:
-                        rx_node.deliver(message)
             deepest_hop = max(deepest_hop, hop)
             frontier = next_frontier
         if transmissions == 0:

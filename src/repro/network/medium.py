@@ -241,7 +241,6 @@ class BroadcastMedium:
             # Receivers pay for every attempt they had to listen to; with the
             # default lossless medium this is exactly one reception.
             node.recorder.record_rx(message.wire_bits * attempts, messages=attempts)
-            node.deliver(message)
             delivered.append(node.identity)
         receipt = DeliveryReceipt(
             message=message,
@@ -286,7 +285,6 @@ class BroadcastMedium:
                 )
                 if loss > 0.0 and self._rng.randbelow(1_000_000) / 1_000_000.0 < loss:
                     continue
-            node.deliver(message)
             delivered.append(node.identity)
         receipt = DeliveryReceipt(
             message=message,

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..backends.registry import active_backend
 from ..exceptions import ParameterError
 from ..groups.schnorr import SchnorrGroup
 from ..hashing.hashfuncs import HashFunction
-from ..mathutils.modular import modinv
+from ..mathutils.modular import modinv, multi_exp
 from ..mathutils.rand import DeterministicRNG
 from .base import BatchItem, KeyPair, OperationCount, Signature, SignatureScheme
 
@@ -209,9 +208,8 @@ class DSASignatureScheme(SignatureScheme):
             key_exps.append((l * u2) % q)
             combined_u1 = (combined_u1 + l * u1) % q
         # prod v_i^{l_i}  ==  g^{sum l_i·u1_i} · prod y_i^{l_i·u2_i}  (mod p)
-        backend = active_backend()
-        left = backend.multi_exp(commitment_bases, commitment_exps, p)
-        right = (self.group.exp_g(combined_u1) * backend.multi_exp(key_bases, key_exps, p)) % p
+        left = multi_exp(commitment_bases, commitment_exps, p)
+        right = (self.group.exp_g(combined_u1) * multi_exp(key_bases, key_exps, p)) % p
         if left == right:
             for index, y, message, r, s, _, _, _ in entries:
                 results[index] = self._memoise((y, message, r, s), True)

@@ -166,12 +166,12 @@ class ECDSASignatureScheme(SignatureScheme):
 
         evaluated as **one** interleaved multi-scalar multiplication
         (:func:`repro.groups.elliptic.ec_multi_scalar`) instead of ``2·k``
-        independent double-and-add ladders — the dominant saving on the pure
-        backend, where every point operation pays a field inversion.  Items
-        failing structural checks, without a consistent commitment, or
-        already memoised skip the combination; a failed combined check is
-        bisected down to ground-truth per-item verifies, so accept/reject
-        decisions always match loop verification exactly.
+        independent double-and-add ladders — the dominant saving, since every
+        affine point operation pays a field inversion.  Items failing
+        structural checks, without a consistent commitment, or already
+        memoised skip the combination; a failed combined check is bisected
+        down to ground-truth per-item verifies, so accept/reject decisions
+        always match loop verification exactly.
         """
         if kwargs:
             raise ParameterError(f"unknown verify options: {sorted(kwargs)}")

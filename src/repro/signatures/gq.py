@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..backends.registry import active_backend
 from ..exceptions import BatchVerificationError, ParameterError
 from ..hashing.hashfuncs import HashFunction
-from ..mathutils.modular import product_mod
+from ..mathutils.modular import modexp, multi_exp, product_mod
 from ..mathutils.primes import RSAModulus
 from ..mathutils.rand import DeterministicRNG
 from ..mathutils.serialization import int_to_bytes
@@ -132,11 +131,10 @@ class GQSignatureScheme(SignatureScheme):
     def sign(self, private_key: GQPrivateKey, message: bytes, rng: DeterministicRNG) -> Signature:
         """Sign ``message``: ``t = tau^e``, ``c = H(t, M)``, ``s = tau·S_ID^c``."""
         n, e = self.params.n, self.params.e
-        backend = active_backend()
         tau = rng.zn_star(n)
-        t = backend.modexp(tau, e, n)
+        t = modexp(tau, e, n)
         c = self.params.hash_function.challenge(int_to_bytes(t), message)
-        s = (tau * backend.modexp(private_key.secret, c, n)) % n
+        s = (tau * modexp(private_key.secret, c, n)) % n
         return Signature(
             scheme=self.name,
             components={"s": s, "c": c},
@@ -158,10 +156,9 @@ class GQSignatureScheme(SignatureScheme):
         c = signature.component("c")
         if s == 0:
             return False
-        backend = active_backend()
         try:
             # One simultaneous multi-exp: s^e · H(ID)^{-c} mod n.
-            check = backend.multi_exp([s, hid], [e, -c], n)
+            check = multi_exp([s, hid], [e, -c], n)
         except ParameterError:
             return False
         expected = self.params.hash_function.challenge(int_to_bytes(check), message)
@@ -184,13 +181,13 @@ class GQSignatureScheme(SignatureScheme):
 def gq_commitment(params: GQParameters, rng: DeterministicRNG) -> tuple:
     """Round 1 commitment: draw ``tau in Z_n^*`` and return ``(tau, t = tau^e mod n)``."""
     tau = rng.zn_star(params.n)
-    t = active_backend().modexp(tau, params.e, params.n)
+    t = modexp(tau, params.e, params.n)
     return tau, t
 
 
 def gq_response(params: GQParameters, private_key: GQPrivateKey, tau: int, challenge: int) -> int:
     """Round 2 response ``s_i = tau_i · S_Ui^c mod n`` for the common challenge."""
-    return (tau * active_backend().modexp(private_key.secret, challenge, params.n)) % params.n
+    return (tau * modexp(private_key.secret, challenge, params.n)) % params.n
 
 
 def gq_batch_verify(
@@ -221,9 +218,7 @@ def gq_batch_verify(
         (params.identity_public_key(identity) for identity in identities), n
     )
     try:
-        aggregate = active_backend().multi_exp(
-            [s_product, hid_product], [e, -challenge], n
-        )
+        aggregate = multi_exp([s_product, hid_product], [e, -challenge], n)
     except ParameterError:
         return False
     expected = params.hash_function.challenge(int_to_bytes(aggregate), bound_data)

@@ -3,8 +3,8 @@
 One process-wide *telemetry session* owns at most one active
 :class:`~repro.telemetry.trace.Tracer` and one active
 :class:`~repro.telemetry.metrics.MetricsRegistry`.  Instrumented code all
-over the library (kernel, executor, scenario runner, campaign, cache, crypto
-backends, fleet) calls the module-level helpers below, which are deliberate
+over the library (kernel, executor, scenario runner, campaign, cache, modular
+arithmetic, fleet) calls the module-level helpers below, which are deliberate
 no-ops while nothing is installed:
 
 >>> from repro import telemetry

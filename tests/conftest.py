@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import available_backends, native_available, use_backend
 from repro.core import SystemSetup
 from repro.energy import DeviceProfile, RADIO_100KBPS, WLAN_SPECTRUM24
 from repro.groups.params import get_gq_modulus, get_schnorr_group
@@ -40,21 +39,6 @@ def small_group():
 def small_modulus():
     """The small GQ modulus used by most unit tests."""
     return get_gq_modulus("gq-test-256")
-
-
-@pytest.fixture(params=available_backends())
-def backend(request) -> str:
-    """Run the requesting test once per registered crypto backend.
-
-    Backends are bit-identical, so backend-parametrized tests assert the
-    same values under every one; the ``native`` parameter skips cleanly on
-    interpreters without gmpy2 rather than silently testing pure twice.
-    """
-    name = request.param
-    if name == "native" and not native_available():
-        pytest.skip("gmpy2 not installed — native backend unavailable")
-    with use_backend(name):
-        yield name
 
 
 @pytest.fixture()

@@ -184,6 +184,11 @@ class TestSpecExpansion:
             small_spec(replications=0)
         with pytest.raises(ParameterError, match="unknown campaign spec keys"):
             CampaignSpec.from_dict({"name": "x", "protocols": ["bd"], "typo": 1})
+        with pytest.raises(ParameterError, match="'backend'"):
+            CampaignSpec.from_dict({"name": "x", "protocols": ["bd"], "backend": "pure"})
+        # A bad engine entry fails when the spec is built, not in every cell.
+        with pytest.raises(ParameterError, match="round_timout_s"):
+            small_spec(engines=({"latency": "instant", "round_timout_s": 1},))
         with pytest.raises(ParameterError, match="names must be unique"):
             small_spec(adversaries=[("a", None), ("a", "inject")])
         # Bare-name shorthand is an adversary-preset convenience only; a

@@ -53,7 +53,7 @@ class TestSchnorrGroup:
         with pytest.raises(ParameterError):
             SchnorrGroup(p=23, q=11, g=1).validate()
 
-    def test_operations(self, small_group, backend):
+    def test_operations(self, small_group):
         g = small_group
         a, b = 12345, 67890
         assert g.mul(a, b) == (a * b) % g.p
@@ -119,7 +119,7 @@ class TestEllipticCurves:
         q = TINY_CURVE.generator.multiply(13)
         assert (p + q) == (q + p)
 
-    def test_scalar_mult_matches_repeated_addition(self, backend):
+    def test_scalar_mult_matches_repeated_addition(self):
         g = TINY_CURVE.generator
         accumulated = TINY_CURVE.infinity
         for k in range(1, 25):
@@ -145,7 +145,7 @@ class TestEllipticCurves:
         with pytest.raises(ParameterError):
             singular.validate()
 
-    def test_dh_on_p256(self, backend):
+    def test_dh_on_p256(self):
         rng = DeterministicRNG("ecdh")
         a = NIST_P256.random_scalar(rng)
         b = NIST_P256.random_scalar(rng)
@@ -153,7 +153,7 @@ class TestEllipticCurves:
         shared_2 = NIST_P256.generator.multiply(b).multiply(a)
         assert shared_1 == shared_2
 
-    def test_multi_scalar_matches_sum_of_products(self, backend):
+    def test_multi_scalar_matches_sum_of_products(self):
         rng = DeterministicRNG("straus")
         points = [TINY_CURVE.generator.multiply(1 + rng.randbelow(500)) for _ in range(5)]
         scalars = [rng.randbelow(2 * TINY_CURVE.n) - TINY_CURVE.n for _ in range(5)]

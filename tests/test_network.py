@@ -75,12 +75,11 @@ class TestBroadcastMedium:
         message = _message(nodes[0].identity, bits=500)
         receipt = medium.send(message)
         assert receipt.attempts == 1
-        assert len(receipt.delivered_to) == 3
+        assert receipt.delivered_to == [node.identity for node in nodes[1:]]
         assert nodes[0].recorder.tx_bits == 500
         assert nodes[0].recorder.rx_bits == 0
         for node in nodes[1:]:
             assert node.recorder.rx_bits == 500
-            assert node.peek_inbox() == [message]
 
     def test_unicast_only_reaches_recipient(self):
         medium = BroadcastMedium()
@@ -143,17 +142,6 @@ class TestBroadcastMedium:
 
 
 class TestNode:
-    def test_inbox_draining_by_round(self):
-        node = Node(Identity("n"))
-        node.deliver(_message(Identity("a"), "round1"))
-        node.deliver(_message(Identity("b"), "round2"))
-        assert len(node.peek_inbox("round1")) == 1
-        taken = node.drain_inbox("round1")
-        assert len(taken) == 1
-        assert len(node.inbox) == 1
-        assert len(node.drain_inbox()) == 1
-        assert node.inbox == []
-
     def test_energy_requires_profile(self):
         node = Node(Identity("n"))
         with pytest.raises(NetworkError):

@@ -169,7 +169,7 @@ class TestGQBatchVerification:
 
 
 class TestDSA:
-    def test_roundtrip(self, small_group, rng, backend):
+    def test_roundtrip(self, small_group, rng):
         scheme = DSASignatureScheme(small_group)
         keypair = scheme.generate_keypair(rng)
         signature = scheme.sign(keypair, b"hello", rng)
@@ -196,7 +196,7 @@ class TestDSA:
 
 
 class TestECDSA:
-    def test_roundtrip_tiny_curve(self, rng, backend):
+    def test_roundtrip_tiny_curve(self, rng):
         scheme = ECDSASignatureScheme(TINY_CURVE, HashFunction(output_bits=12))
         keypair = scheme.generate_keypair(rng)
         signature = scheme.sign(keypair, b"hello", rng)
@@ -294,12 +294,12 @@ class TestBatchVerification:
         assert batch == loop
         return loop
 
-    def test_dsa_accepts_honest_batch(self, small_group, rng, backend):
+    def test_dsa_accepts_honest_batch(self, small_group, rng):
         scheme = self._dsa(small_group)
         items = self._items(scheme, rng, 6)
         assert self._agrees(scheme, items, rng) == [True] * 6
 
-    def test_ecdsa_accepts_honest_batch(self, rng, backend):
+    def test_ecdsa_accepts_honest_batch(self, rng):
         scheme = self._ecdsa()
         items = self._items(scheme, rng, 6)
         assert self._agrees(scheme, items, rng) == [True] * 6

@@ -222,3 +222,26 @@ class TestScenarioRunner:
         )
         assert report.protocol == "proposed-gka"
         assert report.agreed_throughout
+
+
+class TestEngineSpecs:
+    @pytest.mark.parametrize("key", ["round_timout_s", "crypto_backend"])
+    def test_unknown_engine_key_is_named(self, key):
+        from repro.sim.specio import build_engine
+
+        with pytest.raises(ParameterError, match=key):
+            build_engine({"latency": "instant", key: 1})
+
+    def test_engine_spec_round_trip(self):
+        from repro.sim.specio import build_engine, engine_to_spec
+
+        spec = {"latency": "radio", "round_timeout_s": 1.5}
+        config = build_engine(spec)
+        assert config is not None and config.round_timeout_s == 1.5
+        assert engine_to_spec(config) == spec
+
+    def test_instant_engine_spec_round_trip(self):
+        from repro.sim.specio import build_engine, engine_to_spec
+
+        assert build_engine("instant") is None
+        assert engine_to_spec(None) == "instant"
