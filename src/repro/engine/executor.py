@@ -6,9 +6,16 @@ and the :class:`~repro.engine.kernel.EventKernel`:
 * machine hooks are kernel actions (``rank=RANK_HOOK``) ordered by the
   machine's ring index, so same-instant emissions leave the medium in ring
   order — exactly the order the synchronous protocol bodies used to send in;
-* every emitted message goes through the medium (charging senders, receivers
-  and relays through the existing energy accounting) and each delivered copy
-  becomes a scheduled ``on_message`` kernel event;
+* every emitted message goes through the medium once (charging senders,
+  receivers and relays through the existing energy accounting); the copies it
+  delivers are grouped by absolute arrival instant, and each group becomes
+  **one** ``RANK_DELIVERY`` kernel event that hands the copy to its machines'
+  ``on_message`` in receipt order, through the duplicate filter.  A
+  single-hop broadcast is one event however many members hear it; multi-hop
+  or distance-dependent delays give one event per distinct instant.  Copies
+  arriving together would share ``(time, rank, order)`` as separate events
+  and run in scheduling order, which is receipt order, so one event per
+  group delivers in exactly that order;
 * in **instant mode** (no latency model) delivery is same-instant and the
   medium's legacy :meth:`~repro.network.medium.BroadcastMedium.send` — with
   its immediate-retry loss semantics — is used unchanged, which keeps
@@ -25,9 +32,13 @@ and the :class:`~repro.engine.kernel.EventKernel`:
   :class:`EngineConfig` the executor puts every transmission in front of the
   attackers: the physical send (and its energy charges) always happens, but
   what receivers *decode* may be dropped, substituted or delayed, and
-  attacker forgeries are scheduled as deliveries that sort ahead of the
-  same-instant honest copies (the attacker wins the first-copy race).  A
-  suite whose actors are all passive leaves the run bit-identical.
+  attacker forgeries are scheduled as deliveries (``order=-1``) that sort
+  ahead of the same-instant honest copies (the attacker wins the first-copy
+  race).  A suite whose actors are all passive leaves the run bit-identical.
+
+When :meth:`MachineExecutor.run` returns (or raises) the machines' ``context``
+back-references are cleared, so a finished executor is freed by reference
+counting instead of waiting for a cyclic garbage collection.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
 
 from .. import telemetry
 from ..exceptions import ParameterError, ProtocolError
-from ..network.medium import BroadcastMedium
+from ..network.medium import BroadcastMedium, DeliveryReceipt
 from ..network.message import Message
 from .kernel import EventKernel
 from .latency import LatencyModel
@@ -102,7 +113,8 @@ class EngineStats:
     deliveries: int = 0
     #: messages transmitted (including timeout-wave retransmissions)
     messages_sent: int = 0
-    #: kernel events processed
+    #: kernel events processed (hooks, emissions and one per arrival group
+    #: of a transmission, not one per delivered copy)
     events: int = 0
 
 
@@ -125,6 +137,12 @@ class MachineExecutor:
             # Topology-aware models (TieredLatency) discover the medium's
             # tier map here; everyone else inherits the no-op default.
             self.latency.bind(medium)
+        # The default endpoint-aware delay delegates to the name-free one, so
+        # its value depends on (hops, distance) alone.
+        self._delay_reads_names = (
+            self.latency is not None
+            and type(self.latency).delivery_delay_for is not LatencyModel.delivery_delay_for
+        )
         self.adversary = self.config.adversary
         if self.adversary is not None:
             # The eavesdropping tap rides the medium so the adversary hears
@@ -158,6 +176,16 @@ class MachineExecutor:
     # ------------------------------------------------------------------- run
     def run(self) -> EngineStats:
         """Execute to quiescence; raises whatever the machines raise."""
+        try:
+            return self._observed_run()
+        finally:
+            # Machines hold the executor as their context; dropping that
+            # back-reference lets the executor be freed as soon as the caller
+            # lets go, instead of waiting for a cyclic garbage collection.
+            for machine in self.machines:
+                machine.context = None
+
+    def _observed_run(self) -> EngineStats:
         if self._tracer is None and self._metrics is None:
             return self._run()
         with telemetry.span(
@@ -302,30 +330,66 @@ class MachineExecutor:
                 attack_delay = interception.delay_s
                 if interception.replacement is not None:
                     decoded = interception.replacement
-        field_ = getattr(self.medium, "field", None)
-        for identity in receipt.delivered_to:
-            receiver = self._by_name.get(identity.name)
-            if receiver is None:
-                continue
-            if suppress:
-                continue
-            delay = 0.0
-            if self.latency is not None:
-                hops = receipt.hop_by_receiver.get(identity.name, receipt.hops)
-                distance = 0.0
-                if field_ is not None and message.sender.name in field_ and identity.name in field_:
-                    distance = field_.distance(message.sender.name, identity.name)
-                delay = channel_wait + tx_time + self.latency.delivery_delay_for(
-                    message.wire_bits, hops, distance, message.sender.name, identity.name
+        if not suppress:
+            for delay, receivers in self._arrivals(
+                receipt, channel_wait + tx_time, attack_delay
+            ).values():
+                self.kernel.schedule(
+                    partial(self._deliver, receivers, decoded),
+                    delay=delay,
+                    rank=EventKernel.RANK_DELIVERY,
                 )
-            self.kernel.schedule(
-                partial(self._deliver, receiver, decoded),
-                delay=delay + attack_delay,
-                rank=EventKernel.RANK_DELIVERY,
-            )
         if self.adversary is not None:
             for forged in self.adversary.drain_injections(now):
                 self._inject(forged)
+
+    def _arrivals(
+        self, receipt: DeliveryReceipt, offset: float, attack_delay: float
+    ) -> Dict[float, Tuple[float, List[PartyMachine]]]:
+        """The receipt's machines grouped by absolute arrival instant.
+
+        Maps ``now + delay`` to ``(delay, machines in receipt order)``.  The
+        key is the instant the kernel will compute, not the delay, so two
+        delays that round to the same instant share one group.  ``offset`` is
+        the sender's channel wait plus transmission time.  When every
+        receiver sees the same latency inputs (one hop count, no mobility
+        field, a model that ignores endpoint names) the delay is computed
+        once for all of them.
+        """
+        now = self.kernel.now
+        by_name = self._by_name
+        receivers = [
+            by_name[identity.name] for identity in receipt.delivered_to if identity.name in by_name
+        ]
+        if not receivers:
+            return {}
+        latency = self.latency
+        if latency is None:
+            return {now + attack_delay: (attack_delay, receivers)}
+        message = receipt.message
+        bits = message.wire_bits
+        sender = message.sender.name
+        hop_by_receiver = receipt.hop_by_receiver
+        field_ = getattr(self.medium, "field", None)
+        if field_ is not None and sender not in field_:
+            field_ = None
+        if field_ is None and not hop_by_receiver and not self._delay_reads_names:
+            delay = offset + latency.delivery_delay_for(
+                bits, receipt.hops, 0.0, sender, receivers[0].identity.name
+            )
+            delay += attack_delay
+            return {now + delay: (delay, receivers)}
+        groups: Dict[float, Tuple[float, List[PartyMachine]]] = {}
+        for receiver in receivers:
+            name = receiver.identity.name
+            hops = hop_by_receiver.get(name, receipt.hops)
+            distance = 0.0
+            if field_ is not None and name in field_:
+                distance = field_.distance(sender, name)
+            delay = offset + latency.delivery_delay_for(bits, hops, distance, sender, name)
+            delay += attack_delay
+            groups.setdefault(now + delay, (delay, []))[1].append(receiver)
+        return groups
 
     def _inject(self, forged: Message) -> None:
         """Deliver an attacker-transmitted forgery, racing legitimate copies.
@@ -338,24 +402,26 @@ class MachineExecutor:
         so the executor's duplicate filter then discards the honest original:
         first copy wins, and the attacker made sure of being first.
         """
-        for receiver in self.machines:
-            if not forged.addressed_to(receiver.identity):
-                continue
+        receivers = [m for m in self.machines if forged.addressed_to(m.identity)]
+        for receiver in receivers:
             receiver.node.recorder.record_rx(forged.wire_bits)
+        if receivers:
             self.kernel.schedule(
-                partial(self._deliver, receiver, forged),
+                partial(self._deliver, receivers, forged),
                 rank=EventKernel.RANK_DELIVERY,
                 order=-1,
             )
 
-    def _deliver(self, machine: PartyMachine, message: Message) -> None:
+    def _deliver(self, machines: List[PartyMachine], message: Message) -> None:
+        """Hand one arrival group's copies to its machines, in receipt order."""
         key = (message.sender.name, message.round_label)
-        seen = self._seen[machine.identity.name]
-        if key in seen:
-            return  # duplicate copy from a retransmission wave
-        seen.add(key)
-        self.stats.deliveries += 1
-        self._hook(machine, partial(machine.on_message, message))
+        for machine in machines:
+            seen = self._seen[machine.identity.name]
+            if key in seen:
+                continue  # duplicate copy from a retransmission wave
+            seen.add(key)
+            self.stats.deliveries += 1
+            self._hook(machine, partial(machine.on_message, message))
 
 
 def run_machines(

@@ -10,7 +10,10 @@ rather than insertion accidents:
 ``rank``
     Coarse event class.  Deliveries (:attr:`RANK_DELIVERY`) sort before
     protocol actions (:attr:`RANK_HOOK`) within one instant, so a machine
-    never acts on a half-delivered round.
+    never acts on a half-delivered round.  The executor schedules one
+    delivery event per transmission and arrival instant, which hands the copy
+    to every receiver arriving then, so ``events_processed`` (and a
+    ``kernel.batch`` span's ``size``) counts arrival groups, not copies.
 ``order``
     Fine position *within* a rank — the executor uses the emitting machine's
     ring index here, which is what makes same-instant broadcasts leave the

@@ -118,10 +118,7 @@ class MultiHopMedium(BroadcastMedium):
         bits = message.wire_bits
         graph = self.neighbours()
 
-        addressed = {
-            node.identity.name for node in self._nodes.values()
-            if message.addressed_to(node.identity)
-        }
+        addressed = {node.identity.name for node in self._addressees(message)}
         unreachable = addressed - self.reachable_set(origin_name)
         if unreachable:
             when = f" at t={self.field.time:g}s" if self.field is not None else ""
@@ -211,10 +208,7 @@ class MultiHopMedium(BroadcastMedium):
         origin_name = origin.identity.name
         bits = message.wire_bits
         graph = self.neighbours()
-        addressed = {
-            node.identity.name for node in self._nodes.values()
-            if message.addressed_to(node.identity)
-        }
+        addressed = {node.identity.name for node in self._addressees(message)}
         covered: Set[str] = {origin_name}
         hop_of: Dict[str, int] = {}
         transmissions = 0

@@ -147,6 +147,12 @@ class BroadcastMedium:
         self._nodes: Dict[str, Node] = {}
         self.transcript: List[Message] = []
         self.receipts: List[DeliveryReceipt] = []
+        # Traffic totals, updated by _finalize: the total_* readers run after
+        # every scenario step, so their cost must not grow with the transcript.
+        self._bits = 0
+        self._bits_with_retries = 0
+        self._transmissions = 0
+        self._relay_bits = 0
         #: read-only observers called after every physical send — the
         #: adversary subsystem's eavesdropping hook.  Taps must not mutate
         #: anything: they see the message and its receipt, nothing more, so
@@ -161,6 +167,10 @@ class BroadcastMedium:
         """Record a completed send and notify the taps."""
         self.transcript.append(message)
         self.receipts.append(receipt)
+        self._bits += message.wire_bits
+        self._bits_with_retries += message.wire_bits * receipt.transmissions
+        self._transmissions += receipt.transmissions
+        self._relay_bits += receipt.relay_bits
         for tap in self.taps:
             tap(message, receipt)
         return receipt
@@ -187,6 +197,19 @@ class BroadcastMedium:
         """All attached nodes."""
         return list(self._nodes.values())
 
+    def _addressees(self, message: Message) -> List[Node]:
+        """Attached nodes ``message`` is addressed to, in attachment order.
+
+        The same test as :meth:`Message.addressed_to` (identities compare by
+        name), made once per send on names.
+        """
+        sender = message.sender.name
+        if message.recipients is None:
+            return [node for name, node in self._nodes.items() if name != sender]
+        wanted = {identity.name for identity in message.recipients}
+        wanted.discard(sender)
+        return [node for name, node in self._nodes.items() if name in wanted]
+
     def __contains__(self, identity: Identity) -> bool:
         return identity.name in self._nodes
 
@@ -209,15 +232,14 @@ class BroadcastMedium:
         when the last retry is also lost does :class:`NetworkError` surface.
         """
         sender = self.node(message.sender)
+        addressees = self._addressees(message)
         # Validate deliverability before anything is charged, so a failed
         # send is side-effect-free: a single-hop domain has no relays, and an
         # addressed member out of direct range could never be served —
         # silently skipping it would surface much later as a confusing
         # protocol failure.  Multi-hop delivery lives in
         # repro.mobility.relay.MultiHopMedium.
-        for node in self._nodes.values():
-            if not message.addressed_to(node.identity):
-                continue
+        for node in addressees:
             if not self.link_model.reachable(message.sender.name, node.identity.name):
                 raise NetworkError(
                     f"{node.identity.name} is out of direct range of "
@@ -235,9 +257,7 @@ class BroadcastMedium:
                     f"message from {message.sender.name} lost {attempts} times; giving up"
                 )
         delivered: List[Identity] = []
-        for node in self._nodes.values():
-            if not message.addressed_to(node.identity):
-                continue
+        for node in addressees:
             # Receivers pay for every attempt they had to listen to; with the
             # default lossless medium this is exactly one reception.
             node.recorder.record_rx(message.wire_bits * attempts, messages=attempts)
@@ -267,22 +287,21 @@ class BroadcastMedium:
         for synchronous execution.
         """
         sender = self.node(message.sender)
-        sender.recorder.record_tx(message.wire_bits)
+        sender_name = message.sender.name
+        bits = message.wire_bits
+        sender.recorder.record_tx(bits)
         attempt_lost = self._attempt_lost()
         per_link = not isinstance(self.link_model, UniformLink)
+        reachable = self.link_model.reachable
         delivered: List[Identity] = []
-        for node in self._nodes.values():
-            if not message.addressed_to(node.identity):
+        for node in self._addressees(message):
+            if not reachable(sender_name, node.identity.name):
                 continue
-            if not self.link_model.reachable(message.sender.name, node.identity.name):
-                continue
-            node.recorder.record_rx(message.wire_bits)
+            node.recorder.record_rx(bits)
             if attempt_lost:
                 continue
             if per_link:
-                loss = self.link_model.loss_probability(
-                    message.sender.name, node.identity.name
-                )
+                loss = self.link_model.loss_probability(sender_name, node.identity.name)
                 if loss > 0.0 and self._rng.randbelow(1_000_000) / 1_000_000.0 < loss:
                     continue
             delivered.append(node.identity)
@@ -315,19 +334,15 @@ class BroadcastMedium:
         recorders were actually charged, which is what energy reports for
         lossy scenarios must use.
         """
-        if include_retries:
-            return sum(
-                receipt.message.wire_bits * receipt.transmissions for receipt in self.receipts
-            )
-        return sum(message.wire_bits for message in self.transcript)
+        return self._bits_with_retries if include_retries else self._bits
 
     def total_transmissions(self) -> int:
         """Physical transmissions: every on-air copy, including retries and relays."""
-        return sum(receipt.transmissions for receipt in self.receipts)
+        return self._transmissions
 
     def total_relay_bits(self) -> int:
         """Bits transmitted by relay nodes on behalf of other senders."""
-        return sum(receipt.relay_bits for receipt in self.receipts)
+        return self._relay_bits
 
     def messages_for_round(self, round_label: str) -> List[Message]:
         """All transcript messages belonging to one round."""

@@ -83,17 +83,15 @@ class Message:
     round_label: str
     parts: Tuple[MessagePart, ...]
     recipients: Optional[Tuple[Identity, ...]] = None
+    #: total transmitted size in bits, fixed when the message is built (and
+    #: rebuilt by ``dataclasses.replace``); derived, so not compared or shown
+    wire_bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [part.name for part in self.parts]
         if len(names) != len(set(names)):
             raise ParameterError(f"duplicate part names in message: {names}")
-
-    # ------------------------------------------------------------------ size
-    @property
-    def wire_bits(self) -> int:
-        """Total transmitted size of the message in bits."""
-        return sum(part.bits for part in self.parts)
+        object.__setattr__(self, "wire_bits", sum(part.bits for part in self.parts))
 
     @property
     def is_broadcast(self) -> bool:

@@ -22,7 +22,6 @@ The workloads cover, for every registry protocol:
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List
 
 from repro.core import SystemSetup
@@ -196,15 +195,3 @@ def run_workloads() -> Dict[str, object]:
             "events": _event_chain(protocol_name),
         }
     return capture
-
-
-if __name__ == "__main__":  # pragma: no cover - fixture (re)generation entry point
-    import os
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(here, FIXTURE_RELPATH)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(run_workloads(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}")

@@ -3,6 +3,9 @@ and kernel determinism (same seed ⇒ identical virtual-time traces)."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import SystemSetup
@@ -12,13 +15,15 @@ from repro.engine import (
     EngineConfig,
     EventKernel,
     FixedLatency,
+    MachineExecutor,
     TransceiverLatency,
 )
+from repro.engine.machine import Outbound, PartyMachine
 from repro.exceptions import ParameterError, ProtocolError
 from repro.mathutils.rand import DeterministicRNG
-from repro.mobility import Area, MobilityConfig, RandomWaypoint
+from repro.mobility import Area, MobilityConfig, MultiHopMedium, RandomWaypoint
 from repro.network.events import JoinEvent, LeaveEvent
-from repro.network.medium import BroadcastMedium
+from repro.network.medium import BroadcastMedium, LinkModel
 from repro.network.message import Message, MessagePart
 from repro.network.node import Node
 from repro.pki import Identity
@@ -127,6 +132,154 @@ class TestMediumTransmit:
         assert receipt.delivered_to == []
         # The receiver was listening and is charged the reception anyway.
         assert receiver.recorder.rx_bits == 800
+
+
+# ---------------------------------------------------------------------------
+# Delivery path: one kernel event per (transmission, arrival instant)
+# ---------------------------------------------------------------------------
+
+class _Logger(PartyMachine):
+    """Broadcasts ``copies`` identical messages at start; logs every delivery."""
+
+    def __init__(self, name, log, *, copies=1):
+        super().__init__(Identity(name), Node(Identity(name)))
+        self.log = log
+        self.copies = copies
+        self.finished = True
+
+    def start(self, now):
+        message = Message.broadcast(self.identity, "r1", [MessagePart("x", 1, 8)])
+        return [Outbound(message)] * self.copies
+
+    def on_message(self, message, now):
+        self.log.append((now, message.sender.name, self.identity.name, message.value("x")))
+        return []
+
+
+class _Chain(LinkModel):
+    """A line topology: each name hears only its neighbours in ``order``."""
+
+    def __init__(self, order):
+        self.position = {name: i for i, name in enumerate(order)}
+
+    def reachable(self, sender, receiver):
+        return abs(self.position[sender] - self.position[receiver]) == 1
+
+
+class _PerReceiverDelay(FixedLatency):
+    """A latency model whose delay reads the receiver's name."""
+
+    def delivery_delay_for(self, bits, hops, distance_m, sender, receiver):
+        return {"b": 0.3, "c": 0.1}.get(receiver, 0.2)
+
+
+class _ForgeOnce:
+    """A stand-in adversary that injects one forgery on the first send."""
+
+    def __init__(self, forged):
+        self.pending = [forged]
+
+    def attach(self, medium):
+        pass
+
+    def intercept(self, message, now):
+        return None
+
+    def drain_injections(self, now):
+        pending, self.pending = self.pending, []
+        return pending
+
+
+def _wire(machines, medium, attach_order=None):
+    by_name = {m.identity.name: m for m in machines}
+    for name in attach_order or list(by_name):
+        medium.attach(by_name[name].node)
+    return machines
+
+
+class TestDeliveryPath:
+    @pytest.mark.parametrize("latency", [None, FixedLatency(0.05)])
+    def test_same_instant_broadcasts_deliver_in_ring_then_receipt_order(self, latency):
+        log = []
+        medium = BroadcastMedium()
+        # Ring order a, b (the senders), c; attachment (receipt) order c, b, a.
+        machines = _wire(
+            [_Logger("a", log), _Logger("b", log), _Logger("c", log, copies=0)],
+            medium,
+            attach_order=["c", "b", "a"],
+        )
+        stats = MachineExecutor(machines, medium, EngineConfig(latency=latency)).run()
+        assert [(sender, receiver) for _, sender, receiver, _ in log] == [
+            ("a", "c"), ("a", "b"), ("b", "c"), ("b", "a"),
+        ]
+        assert len({now for now, *_ in log}) == 1
+        # 3 start hooks, 2 emissions, and one delivery event per broadcast.
+        assert stats.events == 3 + 2 + 2
+
+    def test_distinct_multi_hop_delays_get_separate_events(self):
+        log = []
+        medium = MultiHopMedium(None, _Chain(["a", "b", "c", "d"]))
+        machines = _wire(
+            [_Logger("a", log)] + [_Logger(n, log, copies=0) for n in "bcd"], medium
+        )
+        stats = MachineExecutor(
+            machines, medium, EngineConfig(latency=FixedLatency(0.1))
+        ).run()
+        assert [(receiver, now) for now, _, receiver, _ in log] == [
+            ("b", 0.1), ("c", 0.2), ("d", pytest.approx(0.3)),
+        ]
+        assert stats.events == 4 + 1 + 3
+
+    def test_receiver_dependent_delays_are_not_shared(self):
+        log = []
+        medium = BroadcastMedium()
+        machines = _wire([_Logger("a", log)] + [_Logger(n, log, copies=0) for n in "bcd"], medium)
+        stats = MachineExecutor(
+            machines, medium, EngineConfig(latency=_PerReceiverDelay(0.0))
+        ).run()
+        assert [(receiver, now) for now, _, receiver, _ in log] == [
+            ("c", 0.1), ("d", 0.2), ("b", 0.3),
+        ]
+        assert stats.events == 4 + 1 + 3
+
+    @pytest.mark.parametrize("latency", [None, FixedLatency(0.05)])
+    def test_injected_forgery_beats_the_honest_copy(self, latency):
+        log = []
+        medium = BroadcastMedium()
+        machines = _wire(
+            [_Logger("a", log)] + [_Logger(n, log, copies=0) for n in "bc"], medium
+        )
+        forged = Message.broadcast(Identity("a"), "r1", [MessagePart("x", 666, 8)])
+        config = EngineConfig(latency=latency, adversary=_ForgeOnce(forged))
+        stats = MachineExecutor(machines, medium, config).run()
+        # Every receiver decodes the forgery; the honest copy is a duplicate.
+        assert [(receiver, value) for _, _, receiver, value in log] == [("b", 666), ("c", 666)]
+        assert stats.deliveries == 2
+
+    def test_deliveries_count_once_and_duplicates_are_filtered(self):
+        log = []
+        medium = BroadcastMedium()
+        machines = _wire([_Logger(n, log, copies=2) for n in "abc"], medium)
+        stats = MachineExecutor(machines, medium, EngineConfig()).run()
+        assert stats.messages_sent == 6
+        assert stats.deliveries == 6 == len(log)
+        assert sorted((s, r) for _, s, r, _ in log) == sorted(
+            (s, r) for s in "abc" for r in "abc" if s != r
+        )
+
+    def test_executor_is_freed_without_a_cyclic_collection(self):
+        medium = BroadcastMedium()
+        machines = _wire([_Logger(n, []) for n in "abc"], medium)
+        executor = MachineExecutor(machines, medium, EngineConfig(latency=FixedLatency(0.1)))
+        ref = weakref.ref(executor)
+        gc.disable()
+        try:
+            executor.run()
+            del executor
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert all(m.context is None for m in machines)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.energy import DeviceProfile
@@ -37,6 +39,26 @@ class TestMessage:
             [identity_part(sender), group_element_part("z", 5, 1024), MessagePart("sig", b"s", 320)],
         )
         assert message.wire_bits == 32 + 1024 + 320
+
+    def test_wire_bits_fixed_at_build_time(self):
+        sender = Identity("a")
+        message = Message.broadcast(
+            sender, "round1", [identity_part(sender), group_element_part("z", 5, 1024)]
+        )
+        assert message.wire_bits == sum(part.bits for part in message.parts) == 1056
+        resized = dataclasses.replace(message, parts=(MessagePart("sig", b"s", 320),))
+        assert resized.wire_bits == 320
+        relabelled = dataclasses.replace(message, round_label="round2")
+        assert relabelled.wire_bits == 1056
+
+    def test_wire_bits_left_out_of_equality_and_repr(self):
+        sender = Identity("a")
+        message = _message(sender)
+        twin = _message(sender)
+        object.__setattr__(twin, "wire_bits", 0)
+        assert message == twin and hash(message) == hash(twin)
+        assert "wire_bits" not in repr(message)
+        assert "wire_bits" not in [f.name for f in dataclasses.fields(message) if f.init]
 
     def test_part_access(self):
         sender = Identity("a")
