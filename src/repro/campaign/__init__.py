@@ -10,9 +10,12 @@ actually stress-tested through:
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec` declares the axes and
   expands them into independent cells, each with a stable key and a child
   seed derived from the master seed + cell key;
-* :mod:`repro.campaign.execute` — :func:`run_campaign` shards the cells over
-  a process pool with per-cell crash isolation; ``workers=N`` output is
-  bit-identical to ``workers=1``;
+* :mod:`repro.campaign.plan` — :func:`plan_campaign` replays cache hits,
+  deduplicates identical payloads into work units, files every returned
+  row and assembles the result, for every transport;
+* :mod:`repro.campaign.execute` — :func:`run_campaign` runs the plan's
+  units serially or over a process pool with per-cell crash isolation;
+  ``workers=N`` output is bit-identical to ``workers=1``;
 * :mod:`repro.campaign.result` — :class:`CampaignResult` aggregates the flat
   rows (groupby, pivot, CSV/JSON export);
 * :mod:`repro.campaign.cache` — :class:`ResultCache` content-hashes cell

@@ -27,14 +27,64 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Union
 
 from ..core.registry import describe_registry
 from ..exceptions import ReproError
 from ..profiling import observability
 from .execute import run_campaign
 from .plan import plan_campaign
+from .result import CampaignResult
 from .spec import AXIS_NAMES, CampaignSpec
+
+
+def run_spec_command(
+    args: argparse.Namespace,
+    run: Callable[[CampaignSpec], Union[CampaignResult, int]],
+) -> int:
+    """The front-end both campaign CLIs share, around one ``run`` callback.
+
+    Loads ``args.spec`` (a path, or ``-`` for stdin) and parses ``--pivot``;
+    either failing prints one ``error:`` line and returns ``2``.  ``run``
+    gets the spec and returns the result, or an exit code to stop early.
+    The result is written to ``--csv``/``--json``, summarised (and pivoted)
+    on stdout unless ``--quiet``, and the exit code is ``1`` when any cell
+    failed: per-cell failures are isolated, not fatal, but they must not
+    look like success to scripts either.
+    """
+    try:
+        if args.spec == "-":
+            payload = json.load(sys.stdin)
+        else:
+            with open(args.spec, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        spec = CampaignSpec.from_dict(payload)
+        pivot = None
+        if args.pivot is not None:
+            parts = args.pivot.split(":")
+            if len(parts) != 3:
+                raise ValueError(
+                    f"--pivot must be INDEX:COLUMNS:VALUE, got {args.pivot!r}"
+                )
+            pivot = tuple(parts)
+    except (ReproError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        # A mistyped spec should print one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    result = run(spec)
+    if isinstance(result, int):
+        return result
+    if args.csv:
+        result.to_csv(args.csv)
+    if args.json:
+        result.to_json(args.json)
+    if not args.quiet:
+        print(result.summary())
+        if pivot is not None:
+            print()
+            print(result.pivot_table(*pivot))
+    return 1 if result.failures() else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -113,51 +163,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.spec is None:
         parser.error("spec is required unless --list-protocols is given")
 
-    try:
-        if args.spec == "-":
-            payload = json.load(sys.stdin)
-        else:
-            with open(args.spec, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        spec = CampaignSpec.from_dict(payload)
-        pivot = None
-        if args.pivot is not None:
-            parts = args.pivot.split(":")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"--pivot must be INDEX:COLUMNS:VALUE, got {args.pivot!r}"
-                )
-            pivot = tuple(parts)
+    def run(spec: CampaignSpec) -> Union[CampaignResult, int]:
         if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-    except (ReproError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        # A mistyped spec should print one line, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            print("error: --workers must be at least 1", file=sys.stderr)
+            return 2
+        if args.dry_run:
+            # The pre-flight report: what would run, what the cache already has.
+            print(plan_campaign(spec, cache_dir=args.cache_dir).describe())
+            return 0
+        workers = 1 if (args.profile or args.trace) else args.workers
+        with observability(
+            profile=args.profile, trace=args.trace, metrics=args.metrics
+        ):
+            return run_campaign(spec, workers=workers, cache_dir=args.cache_dir)
 
-    if args.dry_run:
-        # The pre-flight report: what would run, what the cache already has.
-        print(plan_campaign(spec, cache_dir=args.cache_dir).describe())
-        return 0
-
-    workers = 1 if (args.profile or args.trace) else args.workers
-    with observability(
-        profile=args.profile, trace=args.trace, metrics=args.metrics
-    ):
-        result = run_campaign(spec, workers=workers, cache_dir=args.cache_dir)
-
-    if args.csv:
-        result.to_csv(args.csv)
-    if args.json:
-        result.to_json(args.json)
-    if not args.quiet:
-        print(result.summary())
-        if pivot is not None:
-            print()
-            print(result.pivot_table(*pivot))
-    # Per-cell failures are isolated, not fatal — but they must not look like
-    # success to scripts either.
-    return 1 if result.failures() else 0
+    return run_spec_command(args, run)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests

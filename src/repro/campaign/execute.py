@@ -1,4 +1,4 @@
-"""Sharded campaign execution: one process pool, crash-isolated cells.
+"""Campaign execution: the pure cell function and two local transports.
 
 :func:`execute_cell` is the whole worker contract — a **pure function from a
 JSON payload to a JSON row**.  It builds the cell's
@@ -9,33 +9,34 @@ flat row of axis values and metrics.  Any exception becomes an ``error`` row
 instead of propagating, so one pathological cell cannot take down a thousand
 good ones.
 
-:func:`run_campaign` shards the cells over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Results are assembled **by
-cell index, never by completion order**, and every stochastic input lives in
-the cell's own derived seed — which is why ``workers=N`` output is
-bit-identical to ``workers=1`` (the property ``tests/test_campaign.py`` pins
-for every registry protocol).  With a cache directory, previously computed
-cells are replayed from disk and only payload changes recompute.
+:func:`run_campaign` is a thin transport over the campaign plan
+(:func:`~repro.campaign.plan.plan_campaign`), which replays cache hits,
+deduplicates identical payloads into work units and files every returned
+row.  It runs the units serially in this process (``workers=1``, in grid
+order) or maps them over a :class:`~concurrent.futures.ProcessPoolExecutor`
+in submission order; the TCP fleet (:mod:`repro.fleet`) is the third
+transport over the same plan.  Rows are filed **by cell index, never by
+completion order**, and every stochastic input lives in the cell's own
+derived seed — which is why ``workers=N`` output is bit-identical to
+``workers=1`` (the property ``tests/test_campaign.py`` pins for every
+registry protocol).
 """
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..exceptions import ParameterError
-from .cache import ResultCache
+from .plan import plan_campaign
 from .result import CampaignResult
 from .spec import CampaignCell, CampaignSpec
 
 __all__ = ["execute_cell", "run_campaign"]
-
-logger = logging.getLogger(__name__)
 
 #: Per-process SystemSetup cache: building the 256/1024-bit parameter sets is
 #: pure and deterministic, so sharing one instance across a worker's cells
@@ -56,6 +57,17 @@ def _setup_for(params: str):
     return setup
 
 
+def row_head(payload: Dict[str, object], error: str = "") -> Dict[str, object]:
+    """The fields every row starts with: the cell's identity, axes and seed."""
+    row: Dict[str, object] = {
+        "campaign": payload.get("campaign", ""),
+        "cell": payload.get("cell", ""),
+    }
+    row.update(payload.get("axes", {}))
+    row.update(seed=payload.get("scenario", {}).get("seed", ""), cached=False, error=error)
+    return row
+
+
 def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one campaign cell and return its flat result row.
 
@@ -63,16 +75,7 @@ def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     the exception's traceback tail, keeping sibling cells unaffected.
     """
     started = time.perf_counter()
-    row: Dict[str, object] = {
-        "campaign": payload.get("campaign", ""),
-        "cell": payload.get("cell", ""),
-    }
-    row.update(payload.get("axes", {}))
-    row.update(
-        seed=payload.get("scenario", {}).get("seed", ""),
-        cached=False,
-        error="",
-    )
+    row = row_head(payload)
     try:
         row.update(_run_cell(payload))
     except Exception as exc:  # crash isolation: the row *is* the error report
@@ -139,7 +142,7 @@ def _run_cell(payload: Dict[str, object]) -> Dict[str, object]:
     return metrics
 
 
-def _pool_context():
+def _fork_context():
     """Prefer fork (cheap, inherits warm caches); fall back where unavailable."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -150,8 +153,6 @@ def run_campaign(
     *,
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    chunksize: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     cells: Optional[List[CampaignCell]] = None,
 ) -> CampaignResult:
     """Execute every cell of ``spec`` and aggregate the rows.
@@ -165,11 +166,6 @@ def run_campaign(
         Enable the content-hash result cache in this directory: cells whose
         payloads are unchanged replay from disk, everything else recomputes
         and is stored back.
-    chunksize:
-        Cells handed to a worker per dispatch; defaults to spreading the
-        pending cells roughly four chunks per worker.
-    progress:
-        Optional ``callback(done, total)`` fired after every completed cell.
     cells:
         Pre-expanded (possibly adjusted) cell list to run instead of
         ``spec.cells()`` — how the attack matrix pins every cell to its
@@ -177,62 +173,22 @@ def run_campaign(
     """
     if workers < 1:
         raise ParameterError("workers must be at least 1")
-    if cells is None:
-        cells = spec.cells()
-    elif [cell.index for cell in cells] != list(range(len(cells))):
-        raise ParameterError("adjusted cell lists must keep contiguous indices")
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    rows: List[Optional[Dict[str, object]]] = [None] * len(cells)
-
-    pending: List[CampaignCell] = []
-    for cell in cells:
-        cached = cache.get(cell.payload) if cache is not None else None
-        if cached is not None:
-            rows[cell.index] = cached
-        else:
-            pending.append(cell)
-
+    plan = plan_campaign(spec, cache_dir=cache_dir, cells=cells)
+    units = plan.units
     started = time.perf_counter()
-    done = len(cells) - len(pending)
-    if progress is not None and done:
-        progress(done, len(cells))
-
-    def _finish(cell: CampaignCell, row: Dict[str, object]) -> None:
-        nonlocal done
-        rows[cell.index] = row
-        if cache is not None and not row.get("error"):
-            cache.put(cell.payload, row)
-        done += 1
-        if progress is not None:
-            progress(done, len(cells))
-
-    if workers == 1 or len(pending) <= 1:
-        for cell in pending:
-            _finish(cell, execute_cell(dict(cell.payload)))
+    if workers == 1 or len(units) <= 1:
+        for unit in units:
+            plan.record(unit, execute_cell(unit.payload))
         workers_used = 1
     else:
-        workers_used = min(workers, len(pending))
-        if chunksize is None:
-            chunksize = max(1, len(pending) // (workers_used * 4))
+        workers_used = min(workers, len(units))
+        chunksize = max(1, len(units) // (workers_used * 4))
         with ProcessPoolExecutor(
-            max_workers=workers_used, mp_context=_pool_context()
+            max_workers=workers_used, mp_context=_fork_context()
         ) as pool:
-            payloads = [dict(cell.payload) for cell in pending]
             # Ordered map: results come back in submission order regardless
             # of which worker finishes first — determinism needs no sorting.
-            for cell, row in zip(pending, pool.map(execute_cell, payloads, chunksize=chunksize)):
-                _finish(cell, row)
-
-    assert all(row is not None for row in rows)
-    if cache is not None:
-        telemetry.count("cache.cells_replayed", cache.hits)
-        logger.info("%s", cache.summary_line())
-    return CampaignResult(
-        name=spec.name,
-        spec=spec.to_dict(),
-        rows=[row for row in rows if row is not None],
-        workers=workers_used,
-        wall_seconds=time.perf_counter() - started,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-    )
+            payloads = [unit.payload for unit in units]
+            for unit, row in zip(units, pool.map(execute_cell, payloads, chunksize=chunksize)):
+                plan.record(unit, row)
+    return plan.result(workers=workers_used, wall_seconds=time.perf_counter() - started)

@@ -1,33 +1,61 @@
-"""Pre-flight campaign planning: what *would* run, and what is already done.
+"""The campaign plan: what runs, and where each returned row is filed.
 
-:func:`plan_campaign` expands a spec's grid without executing anything and,
-given a cache directory, splits the cells into *cached* (their content-hash
-is already on disk) and *pending*.  Two consumers:
+:func:`plan_campaign` expands a spec's grid (or an adjusted cell list, whose
+indices must stay ``0..len-1``) and, given a cache directory, replays every
+cell whose content hash is already on disk.  The cells left over are grouped
+by payload hash into :class:`WorkUnit` s in grid order, so two cells with
+identical payloads cost one execution.
 
-* ``python -m repro.campaign --dry-run`` prints the plan so a grid can be
-  sanity-checked — axis values, cell count, how much a resumed run will
-  actually recompute — before committing CPU-days to it;
-* the fleet controller (:mod:`repro.fleet.controller`) uses the same plan as
-  its initial queue report and seeds its row table with the cached rows, so
-  cache hits never cross the network.
+The plan is the one place that decides this, for every way a campaign runs.
+Its transports only move payloads and rows:
+
+* the serial loop and the process pool of
+  :func:`~repro.campaign.execute.run_campaign`;
+* the TCP fleet of :class:`~repro.fleet.controller.CampaignController`.
+
+Each hands every computed row back to :meth:`CampaignPlan.record`, which
+files it under every cell index of its unit and writes it to the cache
+(error rows are never cached); :meth:`CampaignPlan.result` then assembles
+the :class:`~repro.campaign.result.CampaignResult` by cell index.  So cache
+replay and payload dedup apply to serial, pool and fleet runs alike.
+
+``python -m repro.campaign --dry-run`` prints :meth:`CampaignPlan.describe`,
+so a grid can be sanity-checked — axis values, cell count, how much a resumed
+run will actually recompute — before committing CPU-days to it.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .cache import ResultCache
+from .. import telemetry
+from ..exceptions import ParameterError
+from .cache import ResultCache, payload_hash
+from .result import CampaignResult
 from .spec import AXIS_NAMES, CampaignCell, CampaignSpec
 
-__all__ = ["CampaignPlan", "plan_campaign"]
+__all__ = ["CampaignPlan", "WorkUnit", "plan_campaign"]
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass
+class WorkUnit:
+    """One dispatchable unit: a payload plus every cell index it serves."""
+
+    key: str  # payload content hash
+    payload: Dict[str, object]
+    indices: List[int]  # cell indices sharing this payload (usually one)
+    attempts: int = 0  # fleet dispatches so far (first dispatch makes it 1)
 
 
 @dataclass
 class CampaignPlan:
-    """The expanded grid of one spec, split by cache state."""
+    """The expanded grid of one spec, its cache state and its row table."""
 
-    name: str
+    spec: CampaignSpec
     #: every cell, in grid order
     cells: List[CampaignCell]
     #: axis name -> ordered distinct values across the grid
@@ -36,15 +64,52 @@ class CampaignPlan:
     cached_rows: Dict[int, Dict[str, object]]
     #: cells not served by the cache, in grid order
     pending: List[CampaignCell]
-    cache_dir: Optional[str] = None
+    #: the pending cells deduplicated by payload, in order of first appearance
+    units: List[WorkUnit]
+    cache: Optional[ResultCache]
+    #: one slot per cell, filled by the cache replay and by :meth:`record`
+    rows: List[Optional[Dict[str, object]]]
+    #: cells that have a row
+    done: int
 
     @property
     def total(self) -> int:
         return len(self.cells)
 
+    @property
+    def complete(self) -> bool:
+        return self.done >= self.total
+
+    def record(self, unit: WorkUnit, row: Dict[str, object]) -> None:
+        """File one computed row under every cell index ``unit`` serves."""
+        row = dict(row)
+        row.setdefault("cached", False)
+        if self.cache is not None and not row.get("error"):
+            self.cache.put(unit.payload, row)
+        for index in unit.indices:
+            if self.rows[index] is None:
+                self.done += 1
+            self.rows[index] = dict(row)
+
+    def result(self, *, workers: int, wall_seconds: float) -> CampaignResult:
+        """The assembled result, rows in cell order (every cell must be done)."""
+        assert self.complete and all(row is not None for row in self.rows)
+        if self.cache is not None:
+            telemetry.count("cache.cells_replayed", self.cache.hits)
+            logger.info("%s", self.cache.summary_line())
+        return CampaignResult(
+            name=self.spec.name,
+            spec=self.spec.to_dict(),
+            rows=[row for row in self.rows if row is not None],
+            workers=workers,
+            wall_seconds=wall_seconds,
+            cache_hits=self.cache.hits if self.cache is not None else 0,
+            cache_misses=self.cache.misses if self.cache is not None else 0,
+        )
+
     def describe(self) -> str:
         """The plan as human-readable text (what ``--dry-run`` prints)."""
-        lines = [f"campaign : {self.name} — {self.total} cells"]
+        lines = [f"campaign : {self.spec.name} — {self.total} cells"]
         for axis in AXIS_NAMES:
             values = self.axes.get(axis, ())
             if axis == "rep":
@@ -52,10 +117,10 @@ class CampaignPlan:
             else:
                 rendered = ", ".join(str(v) for v in values)
             lines.append(f"  {axis:<10} ({len(values)}): {rendered}")
-        if self.cache_dir is not None:
+        if self.cache is not None:
             lines.append(
                 f"cache    : {len(self.cached_rows)} cached, "
-                f"{len(self.pending)} pending ({self.cache_dir})"
+                f"{len(self.pending)} pending ({self.cache.directory})"
             )
         else:
             lines.append(f"pending  : {len(self.pending)} (no cache dir)")
@@ -67,40 +132,49 @@ def plan_campaign(
     *,
     cache_dir: Optional[str] = None,
     cells: Optional[List[CampaignCell]] = None,
-    cache: Optional[ResultCache] = None,
 ) -> CampaignPlan:
-    """Expand ``spec`` and consult the cache, without running any cell.
+    """Expand ``spec``, replay the cache and queue the rest, running nothing.
 
-    Pass an already-open ``cache`` to share its hit/miss counters with the
-    run that follows (the fleet controller does); otherwise ``cache_dir``
-    opens one just for the plan.
+    ``cells`` is a pre-expanded (possibly adjusted) cell list to plan instead
+    of ``spec.cells()`` — how the attack matrix pins every cell to its
+    scenario's verbatim seed.  Its indices must be ``0..len-1``.
     """
     if cells is None:
         cells = spec.cells()
+    elif [cell.index for cell in cells] != list(range(len(cells))):
+        raise ParameterError("adjusted cell lists must keep contiguous indices")
     axes: Dict[str, List[object]] = {name: [] for name in AXIS_NAMES}
     for cell in cells:
         for name in AXIS_NAMES:
             value = cell.axes.get(name)
             if value not in axes[name]:
                 axes[name].append(value)
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    rows: List[Optional[Dict[str, object]]] = [None] * len(cells)
     cached_rows: Dict[int, Dict[str, object]] = {}
     pending: List[CampaignCell] = []
-    if cache is not None:
-        for cell in cells:
-            row = cache.get(cell.payload)
-            if row is not None:
-                cached_rows[cell.index] = row
-            else:
-                pending.append(cell)
-    else:
-        pending = list(cells)
+    for cell in cells:
+        row = cache.get(cell.payload) if cache is not None else None
+        if row is not None:
+            cached_rows[cell.index] = rows[cell.index] = row
+        else:
+            pending.append(cell)
+    # Identical payloads give bit-identical rows: one unit serves them all.
+    units: Dict[str, WorkUnit] = {}
+    for cell in pending:
+        key = payload_hash(cell.payload)
+        unit = units.get(key)
+        if unit is None:
+            unit = units[key] = WorkUnit(key=key, payload=dict(cell.payload), indices=[])
+        unit.indices.append(cell.index)
     return CampaignPlan(
-        name=spec.name,
+        spec=spec,
         cells=cells,
         axes={name: tuple(values) for name, values in axes.items()},
         cached_rows=cached_rows,
         pending=pending,
-        cache_dir=cache.directory if cache is not None else None,
+        units=list(units.values()),
+        cache=cache,
+        rows=rows,
+        done=len(cached_rows),
     )

@@ -79,10 +79,7 @@ def geographic_clusters(
     clusters: List[List[Identity]] = []
     for size in sizes:
         # Deterministic anchor: lexicographically smallest (x, y, name).
-        anchor = min(
-            remaining,
-            key=lambda m: (field.position(m.name).x, field.position(m.name).y, m.name),
-        )
+        anchor = min(remaining, key=lambda m: (*field.position(m.name), m.name))
         by_distance = sorted(
             remaining,
             key=lambda m: (field.distance(anchor.name, m.name), m.name),

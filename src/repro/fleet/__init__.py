@@ -1,18 +1,21 @@
 """``repro.fleet`` — distributed campaign orchestration over TCP.
 
-:mod:`repro.campaign` shards a parameter grid over one machine's cores; this
-subsystem shards it over a *fleet*.  A :class:`CampaignController` owns the
-cell queue and listens on a TCP socket (stdlib ``socket``/``selectors``,
-length-prefixed JSON frames — no dependencies); :class:`FleetWorker`
-processes register, receive cells one at a time, and stream result rows back
-incrementally:
+:mod:`repro.campaign` plans a parameter grid once
+(:func:`~repro.campaign.plan.plan_campaign`: cache replay, payload dedup
+into work units, row filing and result assembly) and runs it over one of
+three transports: the serial loop, the process pool, or this subsystem's
+*fleet*.  A :class:`CampaignController` takes the plan's work units and
+listens on a TCP socket (stdlib ``socket``/``selectors``, length-prefixed
+JSON frames — no dependencies); :class:`FleetWorker` processes register,
+receive units one at a time, and stream result rows back incrementally:
 
 * :mod:`repro.fleet.wire` — the framing layer (4-byte length prefix +
   canonical JSON message);
-* :mod:`repro.fleet.controller` — queue ownership, content-hash cache
-  dedup (cache hits never leave the controller), heartbeat-based worker-loss
-  detection with bounded requeues (then error rows — never a dead sweep),
-  and streaming row assembly;
+* :mod:`repro.fleet.controller` — the network side only: sockets,
+  heartbeat-based worker-loss detection with bounded requeues (then error
+  rows — never a dead sweep) and progress snapshots; cache hits and
+  duplicate payloads never leave the controller because the plan has
+  already settled them;
 * :mod:`repro.fleet.worker` — the client loop around the campaign layer's
   existing pure worker function
   (:func:`~repro.campaign.execute.execute_cell`), with a heartbeat thread;
@@ -54,7 +57,8 @@ Quickstart (in-process fleet)::
     print(result.pivot_table("protocol", "loss", "energy_j"))
 """
 
-from .controller import CampaignController, WorkUnit
+from ..campaign.plan import WorkUnit
+from .controller import CampaignController
 from .local import run_fleet_campaign
 from .progress import FleetProgress, WorkerView
 from .wire import MESSAGE_TYPES, PROTOCOL_VERSION, FrameDecoder, encode_frame

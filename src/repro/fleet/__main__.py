@@ -23,8 +23,10 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Union
 
+from ..campaign.__main__ import run_spec_command
+from ..campaign.result import CampaignResult
 from ..campaign.spec import CampaignSpec
 from ..exceptions import ReproError
 from ..profiling import observability
@@ -90,23 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _controller_main(args: argparse.Namespace) -> int:
-    try:
-        if args.spec == "-":
-            payload = json.load(sys.stdin)
-        else:
-            with open(args.spec, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        spec = CampaignSpec.from_dict(payload)
-        pivot = None
-        if args.pivot is not None:
-            parts = args.pivot.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"--pivot must be INDEX:COLUMNS:VALUE, got {args.pivot!r}")
-            pivot = tuple(parts)
-    except (ReproError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_spec_command(args, lambda spec: _serve(spec, args))
 
+
+def _serve(spec: CampaignSpec, args: argparse.Namespace) -> Union[CampaignResult, int]:
     last_line = [0.0]
     final_emitted = [False]
     progress_json = None
@@ -159,24 +148,13 @@ def _controller_main(args: argparse.Namespace) -> int:
         with observability(
             trace=args.trace, metrics=args.metrics, process="controller"
         ):
-            result = controller.serve()
+            return controller.serve()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if progress_json is not None and progress_json is not sys.stderr:
             progress_json.close()
-
-    if args.csv:
-        result.to_csv(args.csv)
-    if args.json:
-        result.to_json(args.json)
-    if not args.quiet:
-        print(result.summary())
-        if pivot is not None:
-            print()
-            print(result.pivot_table(*pivot))
-    return 1 if result.failures() else 0
 
 
 def _worker_main(args: argparse.Namespace) -> int:

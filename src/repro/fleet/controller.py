@@ -1,23 +1,26 @@
-"""The fleet controller: owns the cell queue, workers stream rows back.
+"""The fleet controller: the campaign plan's TCP transport.
 
 :class:`CampaignController` binds a TCP socket, accepts :mod:`repro.fleet.worker`
-connections, and drives one campaign to completion:
+connections, and drives one campaign to completion.  What runs and where
+its rows go is the campaign plan's job
+(:func:`repro.campaign.plan.plan_campaign`), exactly as for the serial loop
+and the process pool of :func:`~repro.campaign.execute.run_campaign`: cache
+hits fill their rows up front and are *never dispatched*, identical payloads
+share one work unit, and every returned row is filed (and cached) by the
+plan.  The controller keeps only what the network needs:
 
-* **Queue** — the spec's grid is planned up front
-  (:func:`repro.campaign.plan.plan_campaign`): cache hits fill their rows
-  immediately and are *never dispatched* — a resumed campaign only ships the
-  cells that still need computing.  Pending cells are deduplicated by
-  content hash, so two cells with identical payloads cost one execution.
-* **Streaming** — each idle worker holds exactly one cell; its row is
-  recorded (and cached) the moment it arrives, so progress is continuous
+* **Streaming** — each idle worker holds exactly one work unit; its row is
+  handed to the plan the moment it arrives, so progress is continuous
   rather than wait-for-everything.
 * **Fault tolerance** — a worker is declared lost on socket EOF/error or
   after :attr:`heartbeat_s` × :attr:`heartbeat_misses` of silence.  Its
-  in-flight cell goes back to the *front* of the queue; after
-  :attr:`max_requeues` losses the cell becomes an ``error`` row instead
+  in-flight unit goes back to the *front* of the queue; after
+  :attr:`max_requeues` losses the unit becomes an ``error`` row instead
   (bounded retries — a poisoned cell can never wedge the campaign).
-* **Determinism** — rows are assembled by cell index, and every stochastic
-  input lives in the cell's own derived seed, so the assembled
+* **Progress** — :meth:`snapshot` builds the live
+  :class:`~repro.fleet.progress.FleetProgress` view after every change.
+* **Determinism** — the plan assembles rows by cell index, and every
+  stochastic input lives in the cell's own derived seed, so the
   :class:`~repro.campaign.result.CampaignResult` is bit-identical to
   ``run_campaign(workers=1)`` no matter how many workers served it, joined
   late, or died mid-cell (``tests/test_fleet.py`` pins this, SIGKILL
@@ -38,25 +41,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..campaign.cache import ResultCache, payload_hash
-from ..campaign.plan import CampaignPlan, plan_campaign
+from ..campaign.execute import row_head
+from ..campaign.plan import CampaignPlan, WorkUnit, plan_campaign
 from ..campaign.result import CampaignResult
 from ..campaign.spec import CampaignCell, CampaignSpec
 from ..exceptions import FleetError, ParameterError
 from .progress import FleetProgress, WorkerView
 from .wire import PROTOCOL_VERSION, FrameDecoder, send_message
 
-__all__ = ["CampaignController", "WorkUnit"]
-
-
-@dataclass
-class WorkUnit:
-    """One dispatchable unit: a payload plus every cell index it serves."""
-
-    key: str  # payload content hash
-    payload: Dict[str, object]
-    indices: List[int]  # cell indices sharing this payload (usually one)
-    attempts: int = 0  # dispatches so far (first dispatch makes it 1)
+__all__ = ["CampaignController"]
 
 
 @dataclass
@@ -136,34 +129,13 @@ class CampaignController:
         self.idle_timeout_s = idle_timeout_s
         self.on_progress = on_progress
 
-        self._cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.plan: CampaignPlan = plan_campaign(spec, cells=cells, cache=self._cache)
-        if [cell.index for cell in self.plan.cells] != list(range(len(self.plan.cells))):
-            raise ParameterError("adjusted cell lists must keep contiguous indices")
-
-        self._rows: List[Optional[Dict[str, object]]] = [None] * self.plan.total
-        for index, row in self.plan.cached_rows.items():
-            self._rows[index] = row
-
-        # Deduplicate pending cells by payload hash: one WorkUnit may serve
-        # several cell indices (identical payloads are bit-identical rows).
-        self._queue: Deque[WorkUnit] = deque()
-        by_hash: Dict[str, WorkUnit] = {}
-        for cell in self.plan.pending:
-            key = payload_hash(cell.payload)
-            unit = by_hash.get(key)
-            if unit is None:
-                unit = WorkUnit(key=key, payload=dict(cell.payload), indices=[])
-                by_hash[key] = unit
-                self._queue.append(unit)
-            unit.indices.append(cell.index)
+        self.plan: CampaignPlan = plan_campaign(spec, cache_dir=cache_dir, cells=cells)
+        self._queue: Deque[WorkUnit] = deque(self.plan.units)
 
         self._workers: Dict[socket.socket, _Worker] = {}
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._started = 0.0
-        self._done_cells = self.plan.total - sum(len(u.indices) for u in self._queue)
-        self._completed_units = 0
         self._dispatched_units = 0
         self._requeues = 0
         self._worker_losses = 0
@@ -202,9 +174,9 @@ class CampaignController:
         """The live progress/ETA view."""
         in_flight = sum(1 for w in self._workers.values() if w.unit is not None)
         elapsed = time.perf_counter() - self._started if self._started else 0.0
-        computed = self._done_cells - len(self.plan.cached_rows)
+        computed = self.plan.done - len(self.plan.cached_rows)
         rate = computed / elapsed if elapsed > 0 and computed > 0 else 0.0
-        remaining = self.plan.total - self._done_cells
+        remaining = self.plan.total - self.plan.done
         workers = {}
         for worker in self._workers.values():
             if not worker.registered:
@@ -221,7 +193,7 @@ class CampaignController:
         return FleetProgress(
             campaign=self.spec.name,
             total=self.plan.total,
-            done=self._done_cells,
+            done=self.plan.done,
             cached=len(self.plan.cached_rows),
             in_flight=in_flight,
             pending=len(self._queue),
@@ -271,7 +243,7 @@ class CampaignController:
         self._notify()
         idle_since: Optional[float] = None
         try:
-            while not self._complete():
+            while not self.plan.complete:
                 events = self._selector.select(timeout=self.heartbeat_s / 2)
                 for key, _ in events:
                     if key.data == "accept":
@@ -400,7 +372,7 @@ class CampaignController:
                 # A worker that cannot produce a row forfeits the unit.
                 self._requeue(unit)
             else:
-                self._record(unit, row)
+                self.plan.record(unit, row)
             self._dispatch(sock, worker)
             self._notify()
         elif kind == "heartbeat":
@@ -413,11 +385,7 @@ class CampaignController:
     # --------------------------------------------------------------- dispatch
     def _dispatch(self, sock: socket.socket, worker: _Worker) -> None:
         """Hand the next work unit to an idle worker (or let it idle)."""
-        if worker.unit is not None or not worker.registered:
-            return
-        if not self._queue:
-            if self._complete():
-                pass  # serve() will notice and shut everything down
+        if worker.unit is not None or not worker.registered or not self._queue:
             return
         unit = self._queue.popleft()
         unit.attempts += 1
@@ -480,18 +448,6 @@ class CampaignController:
                 [self._worker_metrics.get(name, {}), snapshot]
             )
 
-    def _record(self, unit: WorkUnit, row: Dict[str, object]) -> None:
-        """File one computed row under every cell index the unit serves."""
-        row = dict(row)
-        row.setdefault("cached", False)
-        if self._cache is not None and not row.get("error"):
-            self._cache.put(unit.payload, row)
-        for index in unit.indices:
-            if self._rows[index] is None:
-                self._done_cells += 1
-            self._rows[index] = dict(row)
-        self._completed_units += 1
-
     def _requeue(self, unit: WorkUnit) -> None:
         """Return a lost unit to the queue head, or write it off."""
         if unit.attempts > self.max_requeues:
@@ -499,7 +455,9 @@ class CampaignController:
                 f"FleetError: worker lost while computing this cell "
                 f"{unit.attempts} time(s); retries exhausted"
             )
-            self._record(unit, _error_row(unit.payload, message))
+            row = row_head(unit.payload, error=message)
+            row["wall_seconds"] = 0.0
+            self.plan.record(unit, row)
             if self._metrics is not None:
                 self._metrics.count("fleet.cells_written_off", len(unit.indices))
             return
@@ -577,11 +535,7 @@ class CampaignController:
             self._lose(sock)
 
     # --------------------------------------------------------------- assembly
-    def _complete(self) -> bool:
-        return self._done_cells >= self.plan.total
-
     def _assemble(self) -> CampaignResult:
-        assert all(row is not None for row in self._rows)
         elapsed = time.perf_counter() - self._started
         if self._tracer is not None:
             self._tracer.complete(
@@ -598,31 +552,4 @@ class CampaignController:
                     "worker_losses": self._worker_losses,
                 },
             )
-        return CampaignResult(
-            name=self.spec.name,
-            spec=self.spec.to_dict(),
-            rows=[row for row in self._rows if row is not None],
-            workers=max(self._peak_workers, 1),
-            wall_seconds=time.perf_counter() - self._started,
-            cache_hits=self._cache.hits if self._cache is not None else 0,
-            cache_misses=self._cache.misses if self._cache is not None else 0,
-        )
-
-
-def _error_row(payload: Dict[str, object], message: str) -> Dict[str, object]:
-    """An error row shaped exactly like :func:`~repro.campaign.execute.execute_cell`'s."""
-    row: Dict[str, object] = {
-        "campaign": payload.get("campaign", ""),
-        "cell": payload.get("cell", ""),
-    }
-    axes = payload.get("axes", {})
-    if isinstance(axes, dict):
-        row.update(axes)
-    scenario = payload.get("scenario", {})
-    row.update(
-        seed=scenario.get("seed", "") if isinstance(scenario, dict) else "",
-        cached=False,
-        error=message,
-        wall_seconds=0.0,
-    )
-    return row
+        return self.plan.result(workers=max(self._peak_workers, 1), wall_seconds=elapsed)

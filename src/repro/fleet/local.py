@@ -4,8 +4,8 @@
 it binds the controller on an ephemeral loopback port, forks ``workers``
 local :class:`~repro.fleet.worker.FleetWorker` processes at it, serves the
 campaign, and returns the same :class:`~repro.campaign.result.CampaignResult`
-a ``run_campaign`` call would — bit-identical to ``workers=1``, because the
-assembly path *is* the distributed one.  Tests, examples and benchmarks get
+a ``run_campaign`` call would — bit-identical to ``workers=1``, because both
+file their rows through the same campaign plan.  Tests, examples and benchmarks get
 the full fault-tolerance machinery (heartbeats, requeues, streaming
 assembly) with no real network and no extra ceremony.
 """
@@ -16,6 +16,7 @@ import multiprocessing
 import os
 from typing import Callable, List, Optional, Tuple
 
+from ..campaign.execute import _fork_context
 from ..campaign.result import CampaignResult
 from ..campaign.spec import CampaignCell, CampaignSpec
 from ..exceptions import ParameterError
@@ -29,12 +30,6 @@ __all__ = ["run_fleet_campaign"]
 def _local_worker_main(address: Tuple[str, int], name: str) -> None:
     """Entry point of one forked local worker (module-level for spawn)."""
     FleetWorker(address, name=name).run()
-
-
-def _fork_context():
-    """Prefer fork (cheap, inherits warm caches); fall back where unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def run_fleet_campaign(
@@ -77,9 +72,9 @@ def run_fleet_campaign(
     address = controller.bind()
     processes: List[multiprocessing.Process] = []
     try:
-        if controller.plan.pending:  # an all-cached campaign needs no fleet
+        if controller.plan.units:  # an all-cached campaign needs no fleet
             context = _fork_context()
-            for index in range(min(workers, len(controller.plan.pending))):
+            for index in range(min(workers, len(controller.plan.units))):
                 process = context.Process(
                     target=_local_worker_main,
                     args=(address, f"local-{index}"),

@@ -36,6 +36,7 @@ from repro.cluster import (
 from repro.core.registry import create_protocol, protocol_tags
 from repro.engine import EngineConfig, FixedLatency
 from repro.exceptions import ParameterError
+from repro.mobility import Area, MobilityConfig, RandomWaypoint
 from repro.network.events import JoinEvent, LeaveEvent, MergeEvent, PartitionEvent
 from repro.network.medium import BroadcastMedium
 from repro.pki import Identity
@@ -123,17 +124,15 @@ class TestClusterTree:
 # Partitioning strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Point:
-    x: float
-    y: float
-
-
 class _FakeField:
-    """The slice of the mobility-field API the partitioner consumes."""
+    """The slice of the mobility-field API the partitioner consumes.
+
+    Positions are plain ``(x, y)`` tuples, as ``MobilityField.position``
+    returns them.
+    """
 
     def __init__(self, positions):
-        self._positions = {name: _Point(*xy) for name, xy in positions.items()}
+        self._positions = {name: (float(x), float(y)) for name, (x, y) in positions.items()}
 
     def __contains__(self, name):
         return name in self._positions
@@ -142,8 +141,8 @@ class _FakeField:
         return self._positions[name]
 
     def distance(self, a, b):
-        pa, pb = self._positions[a], self._positions[b]
-        return math.hypot(pa.x - pb.x, pa.y - pb.y)
+        (ax, ay), (bx, by) = self._positions[a], self._positions[b]
+        return math.hypot(ax - bx, ay - by)
 
 
 class TestPartitioning:
@@ -206,6 +205,26 @@ class TestPartitioning:
             {joiner.name: (0.0, 0.0), big.leader.name: (1.0, 0.0), small.leader.name: (50.0, 0.0)}
         )
         assert choose_join_cluster([big, small], joiner, field) == 0
+
+    def test_random_waypoint_scenario_reaches_agreement(self, small_setup):
+        # The real mobility field hands the partitioner tuples, not points.
+        scenario = Scenario(
+            name="rwp-12",
+            initial_size=12,
+            mobility=MobilityConfig(
+                model=RandomWaypoint(min_speed=3.0, max_speed=12.0),
+                area=Area(420.0, 420.0),
+                tx_range=140.0,
+                duration=150.0,
+                tick=2.0,
+                edge_loss=0.1,
+                settle_ticks=2,
+            ),
+            seed="t24",
+        )
+        report = ScenarioRunner(small_setup).run("cluster-tree[bd]", scenario)
+        assert report.agreed_throughout
+        assert report.events and report.total_relay_bits > 0
 
 
 # ---------------------------------------------------------------------------

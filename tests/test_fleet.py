@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.campaign import CampaignSpec, plan_campaign, run_campaign
+from repro.campaign import CampaignSpec, execute_cell, plan_campaign, run_campaign
 from repro.exceptions import FleetError, ParameterError
 from repro.fleet import (
     CampaignController,
@@ -34,8 +34,23 @@ from repro.fleet import (
     encode_frame,
     run_fleet_campaign,
 )
-from repro.fleet.local import _fork_context, _local_worker_main
+from repro.campaign.execute import _fork_context
+from repro.fleet.local import _local_worker_main
 from repro.fleet.wire import MAX_FRAME_BYTES, send_message
+
+
+_CELL_LOG_ENV = "REPRO_TEST_CELL_LOG"
+
+
+def _logged_execute_cell(payload):
+    """``execute_cell`` that appends each executed cell key to a log file.
+
+    Module-level, so the process pool can pickle it by reference; forked
+    pool workers inherit the environment that names the log.
+    """
+    with open(os.environ[_CELL_LOG_ENV], "a", encoding="utf-8") as log:
+        log.write(f"{payload['cell']}\n")
+    return execute_cell(payload)
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -214,6 +229,56 @@ class TestFleetCache:
         assert controller.dispatched_units == 1
         assert len(result.rows) == 2
         assert result.deterministic_rows()[0] == result.deterministic_rows()[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_identical_payloads_deduplicate_in_serial_and_pool_runs(
+        self, workers, tmp_path, monkeypatch
+    ):
+        # The serial loop and the process pool run the plan the fleet runs, so a
+        # duplicated grid point runs once there too.  A distinct second cell
+        # gives the pool two units, so workers=2 really forks.
+        from dataclasses import replace
+
+        import repro.campaign.execute as execute
+
+        spec = small_spec()
+        cells = spec.cells()
+        assert len(cells) == 2
+        duplicated = cells + [replace(cells[0], index=2)]
+        log = tmp_path / "executed.log"
+        monkeypatch.setenv(_CELL_LOG_ENV, str(log))
+        monkeypatch.setattr(execute, "execute_cell", _logged_execute_cell)
+        result = run_campaign(spec, workers=workers, cells=duplicated)
+        assert sorted(log.read_text().split()) == sorted(cell.key for cell in cells)
+        assert result.workers == workers
+        rows = result.deterministic_rows()
+        assert len(rows) == 3 and rows[0] == rows[2] and rows[0] != rows[1]
+        assert result.failures() == []
+
+    def test_serial_pool_and_fleet_share_one_cache(self, tmp_path):
+        # One cache directory, three transports: each replays the ok cells,
+        # recomputes the error cells (never cached) and assembles the same
+        # rows.  Two error cells give the pool and the fleet two units.
+        spec = small_spec(
+            protocols=("proposed-gka", "bd-unauthenticated", "no-such-protocol"),
+            losses=(0.0, 0.1),
+        )
+        shared = str(tmp_path)
+        cold = run_campaign(spec, workers=1, cache_dir=shared)
+        assert (cold.cache_hits, cold.cache_misses) == (0, 6)
+        assert len(cold.failures()) == 2
+        runs = {
+            "serial": run_campaign(spec, workers=1, cache_dir=shared),
+            "pool": run_campaign(spec, workers=2, cache_dir=shared),
+            "fleet": run_fleet_campaign(spec, workers=2, cache_dir=shared),
+        }
+        for name, result in runs.items():
+            assert (result.cache_hits, result.cache_misses) == (4, 2), name
+            assert result.deterministic_rows() == cold.deterministic_rows(), name
+            assert [row["cached"] for row in result.rows] == [
+                not row["error"] for row in cold.rows
+            ], name
+        assert runs["pool"].workers == 2
 
 
 # ---------------------------------------------------------------------------
